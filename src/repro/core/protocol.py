@@ -38,7 +38,7 @@ from ..net import (
     Packet,
     Point,
     RadioModel,
-    make_spatial_grid,
+    SpatialGrid,
 )
 from ..sim import CounterSet, RngRegistry, Simulator
 from .config import PEASConfig
@@ -131,7 +131,7 @@ class PEASNetwork:
         validate_timing(config, self.radio)
 
         self.counters = CounterSet()
-        self.grid = make_spatial_grid(field, cell_size=config.probe_range_m)
+        self.grid = SpatialGrid()
         self.neighbors = NeighborCache(self.grid, enabled=neighbor_cache)
         self.channel = BroadcastChannel(
             sim,

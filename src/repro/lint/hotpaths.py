@@ -47,10 +47,9 @@ HOT_FUNCTIONS: Dict[str, FrozenSet[str]] = {
     "repro/net/channel.py": frozenset({
         "BroadcastChannel.transmit", "BroadcastChannel._complete",
     }),
-    "repro/net/columnar.py": frozenset({
-        "ColumnarSpatialGrid.query_rows",
-        "ColumnarSpatialGrid.within",
-        "ColumnarSpatialGrid.nearest",
+    "repro/net/spatial.py": frozenset({
+        "SpatialGrid.query_rows",
+        "SpatialGrid.within",
     }),
     "repro/net/neighbors.py": frozenset({
         "NeighborCache.columnar_entry",

@@ -12,12 +12,7 @@ This package implements everything below the PEAS protocol:
 """
 
 from .channel import BroadcastChannel, RadioEndpoint, Reception
-from .columnar import (
-    ColumnarNodeStore,
-    ColumnarSpatialGrid,
-    backend_default,
-    make_spatial_grid,
-)
+from .columnar import ColumnarNodeStore
 from .deployment import (
     DEPLOYMENTS,
     clustered_deployment,
@@ -48,9 +43,6 @@ __all__ = [
     "distance_sq",
     "SpatialGrid",
     "ColumnarNodeStore",
-    "ColumnarSpatialGrid",
-    "backend_default",
-    "make_spatial_grid",
     "NeighborCache",
     "build_neighbor_lists",
     "DEPLOYMENTS",

@@ -26,7 +26,10 @@ Nodes are stationary, so the set of potential receivers of a broadcast is a
 function of ``(sender, range)`` alone; lookups go through a
 :class:`~repro.net.neighbors.NeighborCache` (memoized, sorted by distance,
 invalidated on node death) instead of re-running the grid range query per
-frame.
+frame.  Each candidate's radio state is read from the grid's columnar store
+(``listening`` is published by the endpoints, ``tx_until`` written here), so
+the audience is selected by one loop over candidate rows in canonical
+(distance, insertion index) order.
 """
 
 from __future__ import annotations
@@ -58,12 +61,11 @@ EnergyHook = Callable[[Hashable, str, float, Packet], None]
 class RadioEndpoint(Protocol):
     """What the channel needs to know about an attached node.
 
-    Endpoints that keep the columnar store's ``listening`` column current
-    (by calling :meth:`BroadcastChannel.note_listening` on every radio
-    state change) declare ``publishes_listening = True``; the channel then
-    filters broadcast audiences with one vectorized mask instead of one
-    ``is_listening()`` call per candidate.  Endpoints without the attribute
-    are handled via the per-candidate path.
+    :meth:`BroadcastChannel.attach` seeds the store's ``listening`` column
+    from :meth:`is_listening`; after that an endpoint must call
+    :meth:`BroadcastChannel.note_listening` on every change of
+    ``is_listening()``.  The channel selects broadcast audiences from that
+    column alone (the sanitizer's periodic sweep checks the two agree).
     """
 
     @property
@@ -160,18 +162,10 @@ class BroadcastChannel:
         self._pending_tx: Dict[int, tuple] = {}
         #: receiver id -> {packet uid: in-flight reception at that receiver}
         self._incoming: Dict[Hashable, Dict[int, Reception]] = {}
-        #: node id -> absolute time its own transmission ends (half duplex)
-        self._transmitting_until: Dict[Hashable, float] = {}
-        #: the grid's columnar store (None on the scalar backend).  The
-        #: half-duplex deadline is dual-written to ``store.tx_until`` so the
-        #: vectorized audience mask can read it as a column; the dict above
-        #: stays authoritative for the per-candidate paths, keeping both
-        #: backends on byte-identical bookkeeping.
-        self._store = getattr(grid, "store", None)
-        #: True while every attached endpoint keeps ``store.listening``
-        #: current via :meth:`note_listening`; one legacy endpoint flips
-        #: this off and large broadcasts fall back to per-candidate checks.
-        self._all_publish = True
+        #: the grid's columnar store: per-row ``listening`` flags published
+        #: by the endpoints and each node's half-duplex deadline
+        #: ``tx_until`` (absolute time its own transmission ends)
+        self._store = grid.store
         #: per-transmit memos (ranges are validated and airtimes computed
         #: once per distinct value, not once per frame)
         self._valid_ranges: Dict[float, float] = {}
@@ -186,30 +180,20 @@ class BroadcastChannel:
         self._endpoints[node_id] = endpoint
         if node_id not in self.grid:
             self.grid.insert(node_id, endpoint.position)
-        store = self._store
-        if store is not None:
-            if getattr(endpoint, "publishes_listening", False):
-                row = store.row_of[node_id]
-                flag = endpoint.is_listening()
-                store.listening[row] = flag
-                store.listening_py[row] = flag
-            else:
-                self._all_publish = False
+        self.note_listening(node_id, endpoint.is_listening())
 
     def note_listening(self, node_id: Hashable, flag: bool) -> None:
-        """Endpoint radio-state publication (columnar backend).
+        """Endpoint radio-state publication.
 
-        Publishing endpoints call this on every ``is_listening()``
-        transition; the channel mirrors it into the store's ``listening``
-        column, which is what lets :meth:`transmit` mask whole audiences in
-        one vectorized step.  A no-op on the scalar backend.
+        Endpoints call this on every ``is_listening()`` transition; the
+        channel mirrors it into the store's ``listening`` column, which is
+        all :meth:`transmit` reads to select a broadcast audience.
         """
         store = self._store
-        if store is not None:
-            row = store.row_of.get(node_id)
-            if row is not None:
-                store.listening[row] = flag
-                store.listening_py[row] = flag
+        row = store.row_of.get(node_id)
+        if row is not None:
+            store.listening[row] = flag
+            store.listening_py[row] = flag
 
     def detach(self, node_id: Hashable) -> None:
         """Remove a (dead) node from the medium entirely.
@@ -225,6 +209,36 @@ class BroadcastChannel:
     def endpoint(self, node_id: Hashable) -> RadioEndpoint:
         return self._endpoints[node_id]
 
+    # ----------------------------------------------------------- sanitizer
+    def assert_invariants(self, now: float) -> None:
+        """Check the store mirrors :meth:`transmit` relies on (sanitizer).
+
+        For every attached endpoint: both ``listening`` mirrors equal
+        ``endpoint.is_listening()`` — an endpoint that changed its radio
+        state without :meth:`note_listening` would silently gain or lose
+        receptions — and both ``tx_until`` mirrors agree.
+        """
+        from ..sim.sanitizer import InvariantViolation
+
+        store = self._store
+        for node_id, endpoint in self._endpoints.items():
+            row = store.row_of[node_id]
+            flag = endpoint.is_listening()
+            if store.listening_py[row] != flag or bool(store.listening[row]) != flag:
+                raise InvariantViolation(
+                    f"node {node_id!r} at t={now:.6f}: is_listening() is "
+                    f"{flag} but the channel's listening column says "
+                    f"{store.listening_py[row]} (list) / "
+                    f"{bool(store.listening[row])} (array); endpoints must "
+                    "publish every radio-state change via note_listening"
+                )
+            if store.tx_until_py[row] != float(store.tx_until[row]):
+                raise InvariantViolation(
+                    f"node {node_id!r} at t={now:.6f}: half-duplex deadline "
+                    f"mirrors disagree ({store.tx_until_py[row]!r} list vs "
+                    f"{float(store.tx_until[row])!r} array)"
+                )
+
     # ----------------------------------------------------------- reporting
     def publish_metrics(self, metrics) -> None:
         """Fold this run's frame/drop counters into a
@@ -237,7 +251,9 @@ class BroadcastChannel:
         """Latest end time of any activity this node can sense: its own
         transmissions plus every frame currently arriving at it.  Returns a
         time in the past when the medium is locally idle."""
-        busy = self._transmitting_until.get(node_id, 0.0)
+        store = self._store
+        row = store.row_of.get(node_id)
+        busy = store.tx_until_py[row] if row is not None else 0.0
         active = self._incoming.get(node_id)
         if active:
             for reception in active.values():
@@ -278,14 +294,12 @@ class BroadcastChannel:
         # Half duplex: transmitting corrupts anything the sender was receiving
         # and blocks reception until the transmission ends.
         store = self._store
-        transmitting = self._transmitting_until
-        prior = transmitting.get(sender_id, 0.0)
+        sender_row = store.row_of[sender_id]
+        tx_until = store.tx_until_py
+        prior = tx_until[sender_row]
         deadline = end if end > prior else prior
-        transmitting[sender_id] = deadline
-        if store is not None:
-            sender_row = store.row_of[sender_id]
-            store.tx_until[sender_row] = deadline
-            store.tx_until_py[sender_row] = deadline
+        store.tx_until[sender_row] = deadline
+        tx_until[sender_row] = deadline
         own_incoming = self._incoming.get(sender_id)
         if own_incoming:
             for reception in own_incoming.values():
@@ -295,108 +309,42 @@ class BroadcastChannel:
             self.energy_hook(sender_id, "tx", airtime, packet)
 
         uid = packet.uid
-        endpoints = self._endpoints
         incoming = self._incoming
         tracer = self.tracer
         receivers: List[Hashable] = []
-        prefiltered = False
-        if sender_id not in self.grid:
+        if sender_id in self.grid:
+            entry = self.neighbors.columnar_entry(sender_id, tx_range)
+            rows = entry[3]
+            dists = entry[4]
+            if rows is None:
+                # Large audience: one vectorized listening mask shrinks the
+                # candidates before the loop below.  Sleeping rows emit no
+                # events there, and the mask keeps the canonical order, so
+                # the result and the trace are those of the full loop.
+                kept = entry[0][store.listening[entry[0]]]
+                cx, cy = sender.position
+                dx = store.xs[kept] - cx
+                dy = store.ys[kept] - cy
+                rows = kept.tolist()
+                dists = np.sqrt(dx * dx + dy * dy).tolist()
+        else:
             # Sender already left the grid (death raced a pending frame):
             # resolve its audience from the recorded position, uncached.
-            survivors = self.neighbors.neighbors_at(
-                sender.position, tx_range, exclude=sender_id
-            )
-        elif store is None:
-            survivors = self.neighbors.neighbors_with_distance(sender_id, tx_range)
-        else:
-            entry = self.neighbors.columnar_entry(sender_id, tx_range)
-            memo = entry[2]
-            if not self._all_publish or tracer is not None:
-                # A legacy endpoint is attached (no published listening
-                # state), or a tracer wants its drop/collision events
-                # interleaved per candidate — exactly as the scalar backend
-                # emits them, byte-identical traces being the gate.  Either
-                # way: per-candidate filters below.
-                if memo is not None:
-                    survivors = memo
-                elif entry[3] is not None:
-                    ids = store.ids
-                    survivors = [
-                        (ids[row], dist)
-                        for row, dist in zip(entry[3], entry[4])
-                    ]
-                else:
-                    survivors = self.neighbors._materialize(sender_id, entry[0])
-            elif entry[3] is not None:
-                # Small/mid-size audience: filter by plain list index over
-                # the store's listening/half-duplex mirrors — the same two
-                # checks as the per-candidate loop below, minus the method
-                # call and dict lookups per candidate (and minus the
-                # vectorized mask's fixed numpy overhead, which dominates
-                # below a few hundred candidates).
-                listening_py = store.listening_py
-                tx_py = store.tx_until_py
-                survivors = []
-                keep = survivors.append
-                n_hd = 0
-                if memo is not None:
-                    for pair, row in zip(memo, entry[3]):
-                        if listening_py[row]:
-                            if tx_py[row] > now:
-                                n_hd += 1
-                            else:
-                                keep(pair)
-                else:
-                    ids = store.ids
-                    dists_list = entry[4]
-                    for index, row in enumerate(entry[3]):
-                        if listening_py[row]:
-                            if tx_py[row] > now:
-                                n_hd += 1
-                            else:
-                                keep((ids[row], dists_list[index]))
-                if n_hd:
-                    incr("half_duplex_losses", n_hd)
-                prefiltered = True
-            else:
-                # Large audience: one vectorized mask over the store's
-                # listening/half-duplex columns replaces per-candidate
-                # checks.  Rows arrive in canonical (distance, insertion
-                # index) order and the mask preserves it, so the survivor
-                # loop below runs in exactly the order the per-candidate
-                # path would.
-                rows = entry[0]
-                cand_listen = store.listening[rows]
-                keep_mask = cand_listen & (store.tx_until[rows] <= now)
-                n_hd = int(np.count_nonzero(cand_listen)) - int(
-                    np.count_nonzero(keep_mask)
-                )
-                if n_hd:
-                    incr("half_duplex_losses", n_hd)
-                survivor_rows = rows[keep_mask]
-                cx, cy = sender.position
-                dx = store.xs[survivor_rows] - cx
-                dy = store.ys[survivor_rows] - cy
-                dists = np.sqrt(dx * dx + dy * dy)
-                ids = store.ids
-                survivors = [
-                    (ids[row], dist)
-                    for row, dist in zip(survivor_rows.tolist(), dists.tolist())
-                ]
-                prefiltered = True
-        for node_id, dist in survivors:
-            if not prefiltered:
-                # Per-candidate path: the prefiltered branches above have
-                # already applied exactly these two filters.
-                endpoint = endpoints.get(node_id)
-                if endpoint is None or not endpoint.is_listening():
-                    continue
-                if transmitting.get(node_id, 0.0) > now:
-                    # Receiver is itself on the air: frame is lost to it.
-                    incr("half_duplex_losses")
-                    if tracer is not None:
-                        tracer.emit(trace_events.drop(now, node_id, "half_duplex"))
-                    continue
+            found, d_sq = self.grid.query_rows(sender.position, tx_range)
+            rows = found.tolist()
+            dists = np.sqrt(d_sq).tolist()
+        listening = store.listening_py
+        ids = store.ids
+        for row, dist in zip(rows, dists):
+            if not listening[row]:
+                continue
+            node_id = ids[row]
+            if tx_until[row] > now:
+                # Receiver is itself on the air: frame is lost to it.
+                incr("half_duplex_losses")
+                if tracer is not None:
+                    tracer.emit(trace_events.drop(now, node_id, "half_duplex"))
+                continue
             reception = Reception(packet, end, dist)
             active = incoming.get(node_id)
             if active is None:
@@ -422,8 +370,7 @@ class BroadcastChannel:
         if not receivers:
             # Nobody will hear this frame: the tx-side energy and counters
             # are already charged above, so skip scheduling a completion
-            # event outright.  Both backends compute the same (empty)
-            # audience, so the event stream stays backend-identical.
+            # event outright.
             return
         kind = packet.kind
         label = self._rx_labels.get(kind)
@@ -516,9 +463,10 @@ class BroadcastChannel:
         """Serializable medium state (peas-snapshot/1).
 
         Covers counters, in-flight frames (the ``_pending_tx`` registry plus
-        each receiver's reception view) and the half-duplex deadlines.  The
-        per-transmit memos, the neighbor cache and the store mirrors are
-        derived state, rebuilt on demand after a restore.  The channel RNG
+        each receiver's reception view) and the half-duplex deadlines of
+        every node that ever transmitted, in store-row order.  The
+        per-transmit memos, the neighbor cache and the ``listening`` column
+        are derived state, rebuilt on demand after a restore.  The channel RNG
         and the bursty-loss overlay are owned elsewhere (RngRegistry and the
         fault engine respectively).
         """
@@ -541,12 +489,15 @@ class BroadcastChannel:
                     ],
                 ]
             )
+        store = self._store
         return {
             "counters": self.counters.state_dict(),
             "pending_tx": pending,
             "incoming": incoming,
             "transmitting_until": [
-                [k, v] for k, v in self._transmitting_until.items()
+                [store.ids[row], deadline]
+                for row, deadline in enumerate(store.tx_until_py)
+                if deadline > 0.0
             ],
         }
 
@@ -585,16 +536,14 @@ class BroadcastChannel:
                     bool(corrupted),
                 )
             self._incoming[node_id] = active
-        self._transmitting_until = {}
         store = self._store
+        store.tx_until[:] = 0.0
+        store.tx_until_py[:] = [0.0] * store.size
         for node_id, deadline in state["transmitting_until"]:
-            deadline = float(deadline)
-            self._transmitting_until[node_id] = deadline
-            if store is not None:
-                row = store.row_of.get(node_id)
-                if row is not None:
-                    store.tx_until[row] = deadline
-                    store.tx_until_py[row] = deadline
+            row = store.row_of.get(node_id)
+            if row is not None:
+                store.tx_until[row] = float(deadline)
+                store.tx_until_py[row] = float(deadline)
 
 
 @register_handler("channel.rx")

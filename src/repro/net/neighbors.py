@@ -1,8 +1,8 @@
 """Memoized neighborhoods over a stationary-topology spatial index.
 
-PEAS nodes never move once deployed (§5.2), yet the seed substrate re-ran a
-bucket-grid range query for every PROBE/REPLY broadcast and every routing
-update.  :class:`NeighborCache` exploits immobility: the answer to "who is
+PEAS nodes never move once deployed (§5.2), so re-running a range query
+for every PROBE/REPLY broadcast and every routing update would be wasted
+work.  :class:`NeighborCache` exploits immobility: the answer to "who is
 within radius r of node x" can only change when a node *leaves* the index
 (death) or a new one is attached, so it is safe to memoize per
 ``(node_id, radius)`` with explicit invalidation hooked into
@@ -23,13 +23,12 @@ environment variable.
 
 from __future__ import annotations
 
-import math
 import os
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .field import Field, Point
+from .field import Point
 from .spatial import SpatialGrid
 
 __all__ = ["NeighborCache", "build_neighbor_lists"]
@@ -39,27 +38,26 @@ Neighbor = Tuple[Hashable, float]
 
 _ENV_FLAG = "REPRO_NEIGHBOR_CACHE"
 
-#: Columnar backend: neighborhoods at or below this size also memoize the
-#: materialized ``(id, dist)`` list (per-frame scalar iteration beats numpy
-#: there); larger neighborhoods memoize only the compact row array and
-#: consumers batch against the columnar store.
+#: Neighborhoods at or below this size also memoize the materialized
+#: ``(id, dist)`` list (per-frame scalar iteration beats numpy there);
+#: larger neighborhoods memoize only the compact row array and consumers
+#: batch against the columnar store.
 _LIST_CACHE_MAX = 32
 
-#: Columnar backend: neighborhoods at or below this size additionally
-#: memoize plain python lists of their store rows and distances.  The
-#: broadcast channel then filters the audience with a python loop over the
-#: store's list mirrors — below a few hundred candidates that beats the
-#: vectorized mask, whose fixed per-call numpy overhead (two fancy gathers
-#: plus boolean combines) dominates small and mid-size audiences.  Above
-#: this size the per-element advantage of the mask wins and the extra
-#: memory of boxed lists (which at 50 k nodes x ~500-row neighborhoods
-#: would run to hundreds of MB) is not paid.
+#: Neighborhoods at or below this size additionally memoize plain python
+#: lists of their store rows and distances.  The broadcast channel then
+#: walks the audience with a python loop over the store's list mirrors —
+#: below a few hundred candidates that beats a vectorized mask, whose fixed
+#: per-call numpy overhead (fancy gathers plus boolean combines) dominates
+#: small and mid-size audiences.  Above this size the channel first shrinks
+#: the audience with one listening mask, and the extra memory of boxed
+#: lists (which at 50 k nodes x ~500-row neighborhoods would run to
+#: hundreds of MB) is not paid.
 _SCALAR_AUDIENCE_MAX = 256
 
-#: Columnar backend: populations at or below this size use exact eager
-#: invalidation (a row -> cache-keys reverse index, like the scalar
-#: backend's ``_containing`` map), making a cache hit one dict lookup with
-#: no numpy at all.  Above it the reverse index would cost
+#: Populations at or below this size use exact eager invalidation (a
+#: row -> cache-keys reverse index), making a cache hit one dict lookup
+#: with no numpy at all.  Above it the reverse index would cost
 #: O(nodes x neighborhood) memory — tens of millions of set entries at
 #: 50k nodes — so entries carry the store's death epoch instead and
 #: revalidate lazily against the alive mask when a death has occurred.
@@ -90,19 +88,15 @@ class NeighborCache:
     def __init__(self, grid: SpatialGrid, enabled: Optional[bool] = None) -> None:
         self.grid = grid
         self.enabled = cache_enabled_default() if enabled is None else bool(enabled)
-        self._lists: Dict[Tuple[Hashable, float], List[Neighbor]] = {}
-        #: member id -> keys of cached lists that must die with it
-        self._containing: Dict[Hashable, Set[Tuple[Hashable, float]]] = {}
-        #: columnar backend only: (id, radius) -> mutable entry
-        #: ``[rows, epoch, memoized (id, dist) list or None, row list or
-        #: None, distance list or None]`` where ``epoch`` is ``None`` for
-        #: exactly-invalidated entries (small populations) or the store's
-        #: death epoch at (re)validation time
+        #: (id, radius) -> mutable entry ``[rows, epoch, memoized (id,
+        #: dist) list or None, row list or None, distance list or None]``
+        #: where ``epoch`` is ``None`` for exactly-invalidated entries
+        #: (small populations) or the store's death epoch at
+        #: (re)validation time
         self._rows: Dict[Tuple[Hashable, float], list] = {}
-        #: columnar exact mode: store row -> keys of entries containing it
+        #: exact mode: store row -> keys of entries containing it
         self._row_keys: Dict[int, Set[Tuple[Hashable, float]]] = {}
-        #: the grid's columnar store, or None on the scalar backend
-        self._store = getattr(grid, "store", None)
+        self._store = grid.store
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
@@ -119,49 +113,24 @@ class NeighborCache:
         ``item`` itself is excluded.  The returned list is owned by the
         cache — treat it as read-only.
         """
-        if self._store is not None:
-            entry = self.columnar_entry(item, radius)
-            result = entry[2]
-            if result is None:
-                if entry[3] is not None:
-                    # Mid-size neighborhood: assemble from the cached row
-                    # and distance lists (same floats as ``_materialize``,
-                    # which ran the identical subtract/square/sqrt once at
-                    # entry-build time).
-                    ids = self._store.ids
-                    result = [
-                        (ids[row], dist)
-                        for row, dist in zip(entry[3], entry[4])
-                    ]
-                else:
-                    result = self._materialize(item, entry[0])
-            return result
-        key = (item, radius)
-        if self.enabled:
-            cached = self._lists.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached
-            self.misses += 1
-        grid = self.grid
-        annotated = grid.within_annotated(grid.position(item), radius)
-        annotated.sort()
-        sqrt = math.sqrt
-        result = [
-            (node_id, sqrt(d_sq))
-            for d_sq, _, node_id in annotated
-            if node_id != item
-        ]
-        if self.enabled:
-            self._lists[key] = result
-            containing = self._containing
-            containing.setdefault(item, set()).add(key)
-            for node_id, _ in result:
-                containing.setdefault(node_id, set()).add(key)
+        entry = self.columnar_entry(item, radius)
+        result = entry[2]
+        if result is None:
+            if entry[3] is not None:
+                # Mid-size neighborhood: assemble from the cached row and
+                # distance lists (same floats as ``_materialize``, which
+                # runs the identical subtract/square/sqrt).
+                ids = self._store.ids
+                result = [
+                    (ids[row], dist)
+                    for row, dist in zip(entry[3], entry[4])
+                ]
+            else:
+                result = self._materialize(item, entry[0])
         return result
 
     def columnar_entry(self, item: Hashable, radius: float) -> list:
-        """The cache entry for ``item`` against a columnar grid.
+        """The cache entry for ``item``.
 
         Returns the mutable 5-slot entry ``[rows, epoch, memo, row_list,
         dists_list]``: ``rows`` is the canonical ``(dist, insertion
@@ -170,14 +139,13 @@ class NeighborCache:
         ``_LIST_CACHE_MAX`` nodes; ``row_list`` / ``dists_list`` plain
         python lists of the rows and their distances for neighborhoods of
         at most ``_SCALAR_AUDIENCE_MAX`` nodes (the broadcast channel
-        filters those audiences by list index with no numpy at all);
+        walks those audiences by list index with no numpy at all);
         slots are ``None`` beyond their size tier and consumers batch
-        against the store instead.  Invalidation reaches the exact same
-        recomputation points as the scalar backend's remove listener:
-        small populations evict eagerly through a row reverse index (a
-        hit is then one dict lookup, no numpy), large ones tag entries
-        with the store's death epoch and revalidate against the alive
-        mask only when a death has happened since.
+        against the store instead.  An entry is recomputed exactly when a
+        member died: small populations evict eagerly through a row
+        reverse index (a hit is then one dict lookup, no numpy), large
+        ones tag entries with the store's death epoch and revalidate
+        against the alive mask only when a death has happened since.
         """
         key = (item, radius)
         store = self._store
@@ -196,9 +164,9 @@ class NeighborCache:
                 del self._rows[key]
         self.misses += 1
         grid = self.grid
-        rows_full, d_sq = grid.query_rows(  # type: ignore[attr-defined]
-            grid.position(item), radius,
-            exclude_row=grid.row_index(item),  # type: ignore[attr-defined]
+        center_row = grid.row_index(item)
+        rows_full, d_sq = grid.query_rows(
+            grid.position(item), radius, exclude_row=center_row
         )
         rows = rows_full.astype(np.int32)
         result: Optional[List[Neighbor]] = None
@@ -219,7 +187,8 @@ class NeighborCache:
                 entry[1] = None
                 self._rows[key] = entry
                 row_keys = self._row_keys
-                for row in rows.tolist():
+                # The entry dies with any of its members and with its center.
+                for row in rows.tolist() + [center_row]:
                     members = row_keys.get(row)
                     if members is None:
                         row_keys[row] = {key}
@@ -230,11 +199,11 @@ class NeighborCache:
         return entry
 
     def _materialize(self, item: Hashable, rows: np.ndarray) -> List[Neighbor]:
-        """Build the ``(id, dist)`` list for a large columnar row array.
+        """Build the ``(id, dist)`` list for a large row array.
 
         Recomputes distances from the store's position columns — the same
-        subtraction/square/sqrt sequence the scalar path runs, so the floats
-        are bit-identical.
+        subtraction/square/sqrt sequence as :meth:`SpatialGrid.query_rows`,
+        so the floats are bit-identical to a memoized entry's.
         """
         store = self._store
         cx, cy = self.grid.position(item)
@@ -252,23 +221,19 @@ class NeighborCache:
     ) -> List[Neighbor]:
         """Uncached ``(id, distance)`` pairs around an arbitrary position.
 
-        Cold path for queries not centered on a live grid member (e.g. a
-        frame sent by a node whose death raced its own pending transmission).
+        Cold path for queries not centered on a live grid member.
         Ordering matches :meth:`neighbors_with_distance` exactly.
         """
-        annotated = self.grid.within_annotated(position, radius)
-        annotated.sort()
-        sqrt = math.sqrt
+        rows, d_sq = self.grid.query_rows(position, radius)
+        ids = self._store.ids
         return [
-            (node_id, sqrt(d_sq))
-            for d_sq, _, node_id in annotated
-            if node_id != exclude
+            (ids[row], dist)
+            for row, dist in zip(rows.tolist(), np.sqrt(d_sq).tolist())
+            if ids[row] != exclude
         ]
 
     def __len__(self) -> int:
-        if self._store is not None:
-            return len(self._rows)
-        return len(self._lists)
+        return len(self._rows)
 
     def stats(self) -> Dict[str, int]:
         return {
@@ -283,52 +248,25 @@ class NeighborCache:
         if kind == "insert":
             # Inserts only happen during deployment setup; a blanket flush is
             # both correct and cheap there.
-            if self._lists or self._rows:
-                self.invalidations += max(len(self._lists), len(self._rows))
-                self._lists.clear()
+            if self._rows:
+                self.invalidations += len(self._rows)
                 self._rows.clear()
                 self._row_keys.clear()
-                self._containing.clear()
             return
-        store = self._store
-        if store is not None:
-            # Columnar exact mode: evict every entry whose rows contain the
-            # removed node.  Lazily-validated (epoch-tagged) entries are not
-            # reverse-indexed; their stale rows are caught by the epoch
-            # check on their next lookup.
-            row = store.row_of.get(item)
-            keys = self._row_keys.pop(row, None) if row is not None else None
-            if keys:
-                rows_cache = self._rows
-                for key in keys:
-                    if rows_cache.pop(key, None) is not None:
-                        self.invalidations += 1
-            return
-        # Removal (node death): drop exactly the affected entries.
-        keys = self._containing.pop(item, None)
-        if not keys:
-            return
-        lists = self._lists
-        containing = self._containing
-        for key in keys:
-            cached = lists.pop(key, None)
-            if cached is None:
-                continue
-            self.invalidations += 1
-            for node_id, _ in cached:
-                members = containing.get(node_id)
-                if members is not None:
-                    members.discard(key)
-            center_keys = containing.get(key[0])
-            if center_keys is not None:
-                center_keys.discard(key)
+        # Removal (node death), exact mode: evict every entry whose rows
+        # contain the removed node.  Lazily-validated (epoch-tagged)
+        # entries are not reverse-indexed; their stale rows are caught by
+        # the epoch check on their next lookup.
+        keys = self._row_keys.pop(self._store.row_of[item], None)
+        if keys:
+            rows_cache = self._rows
+            for key in keys:
+                if rows_cache.pop(key, None) is not None:
+                    self.invalidations += 1
 
 
 def build_neighbor_lists(
-    field: Field,
-    positions: Dict[Hashable, Point],
-    radius: float,
-    cell_size: Optional[float] = None,
+    positions: Dict[Hashable, Point], radius: float
 ) -> Dict[Hashable, List[Hashable]]:
     """One-shot sorted-by-distance neighbor lists for a static population.
 
@@ -338,9 +276,7 @@ def build_neighbor_lists(
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    from .columnar import make_spatial_grid
-
-    grid = make_spatial_grid(field, cell_size=cell_size if cell_size else radius)
+    grid = SpatialGrid()
     for node_id, position in positions.items():
         grid.insert(node_id, position)
     cache = NeighborCache(grid, enabled=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
-from ..net import DEPLOYMENTS, Field, NeighborCache, make_spatial_grid
+from ..net import DEPLOYMENTS, Field, NeighborCache, SpatialGrid
 from ..routing import WorkingTopology
 from .base import ProtocolRun, ProtocolSpec
 from .registry import register_protocol
@@ -64,9 +64,7 @@ class BaselineRun(ProtocolRun):
     def topology(self, scenario: "Scenario") -> WorkingTopology:
         # Baselines have no control-plane spatial index; build one over the
         # full deployment so GRAB sees the same geometry as under PEAS.
-        spatial = make_spatial_grid(
-            self.network.field, cell_size=scenario.config.probe_range_m
-        )
+        spatial = SpatialGrid()
         cache = NeighborCache(spatial)
         spatial.bulk_insert((i, p) for i, p in enumerate(self.positions))
         return WorkingTopology(

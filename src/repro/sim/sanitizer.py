@@ -13,7 +13,11 @@ contracts:
 * **estimator well-formedness** — the λ̂ k-interval window keeps
   ``0 <= count < k`` and a window start in the past, and node mode state
   stays coherent (a Working node has a start time and an estimator, a Dead
-  node has a cause).
+  node has a cause);
+* **published radio state** — the channel's per-row ``listening`` and
+  ``tx_until`` mirrors, from which it selects every broadcast audience,
+  agree with each attached endpoint's ``is_listening()`` and with each
+  other.
 
 Wiring reuses the engine's existing observer mechanisms — a
 ``pre_event_hooks`` entry for the per-event checks (the same hook point the
@@ -145,6 +149,9 @@ class SimSanitizer:
         """Run the full node-state sweep immediately (also used at teardown)."""
         self.sweeps += 1
         for network in self._networks:
+            channel = getattr(network, "channel", None)
+            if channel is not None:
+                channel.assert_invariants(now)
             nodes = getattr(network, "nodes", None)
             if not nodes:
                 continue

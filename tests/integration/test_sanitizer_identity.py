@@ -46,3 +46,15 @@ def test_sanitized_run_is_bit_identical():
     # The sanitizer really ran and its accounting landed in extras.
     assert "sanitizer_checks" not in plain_result.extras
     assert checked_result.extras["sanitizer_checks"] > 0
+
+
+def test_traced_sanitized_run_matches_untraced():
+    # The channel selects audiences with one loop whether or not a tracer
+    # is attached; a sanitized traced run (whose periodic sweep checks the
+    # published listening state that loop reads) must therefore give the
+    # same result as a plain untraced one.
+    untraced = run_scenario(SCENARIO)
+    traced, trace = run(sanitize=True)
+
+    assert comparable(traced) == comparable(untraced)
+    assert any(event["ev"] == "drop" for event in trace)

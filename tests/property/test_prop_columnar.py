@@ -1,27 +1,20 @@
-"""Scalar/columnar backend equivalence, element for element.
+"""The spatial index and neighbour cache against a brute-force oracle.
 
-The columnar backend's whole correctness story is that it is a drop-in
-replacement: for any insert/remove history and any query, ``SpatialGrid``
-and ``ColumnarSpatialGrid`` (and a :class:`NeighborCache` over each) must
-return the *same ids in the same canonical order with bit-equal
-distances*.  These properties drive both indexes through arbitrary
-mutation/query interleavings; the full-run corollary (byte-identical
-golden traces under ``REPRO_BACKEND=scalar|columnar``) lives in
-``tests/integration/test_columnar_identity.py``.
+For any insert/remove history and any query, :class:`SpatialGrid` (and a
+:class:`NeighborCache` over it, memo on or off) must return what an O(n)
+walk over every point returns (:mod:`tests.spatial_oracle`): the same ids,
+in the same canonical order, with bit-equal distances.
 """
 
-import math
+import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.net import Field, SpatialGrid
-from repro.net.columnar import (
-    ColumnarSpatialGrid,
-    backend_default,
-    make_spatial_grid,
-)
+from repro.net import SpatialGrid
 from repro.net.neighbors import NeighborCache
+
+from tests.spatial_oracle import BruteForceIndex
 
 coords = st.floats(
     min_value=0.0, max_value=50.0, allow_nan=False, allow_infinity=False
@@ -47,23 +40,27 @@ operations = st.lists(
 )
 
 
-def _build_pair(positions):
-    field = Field(50.0, 50.0)
-    scalar = SpatialGrid(field, cell_size=3.0)
-    columnar = ColumnarSpatialGrid(field, cell_size=3.0)
-    for node_id, position in enumerate(positions):
-        scalar.insert(node_id, position)
-        columnar.insert(node_id, position)
-    return scalar, columnar
-
-
 class TestGridEquivalence:
     @given(positions=st.lists(points, min_size=1, max_size=40), ops=operations)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
+    # Pathologically close points: the squared distance underflows to 0.0,
+    # so only the closed x-window keeps (5e-324, 0) out of a radius-0 query
+    # around the origin, and the origin out of the other point's.
+    @example(
+        positions=[(0.0, 0.0), (5e-324, 0.0)],
+        ops=[
+            ("query", (0.0, 0.0), 0.0),
+            ("neighbors", 0, 0.0),
+            ("neighbors", 1, 0.0),
+        ],
+    )
     def test_queries_agree_across_mutation_histories(self, positions, ops):
-        scalar, columnar = _build_pair(positions)
-        scalar_cache = NeighborCache(scalar, enabled=True)
-        columnar_cache = NeighborCache(columnar, enabled=True)
+        grid = SpatialGrid()
+        oracle = BruteForceIndex()
+        for node_id, position in enumerate(positions):
+            grid.insert(node_id, position)
+            oracle.insert(node_id, position)
+        caches = [NeighborCache(grid, enabled=True), NeighborCache(grid, enabled=False)]
         live = list(range(len(positions)))
 
         for op in ops:
@@ -71,72 +68,50 @@ class TestGridEquivalence:
                 if not live:
                     continue
                 item = live.pop(op[1] % len(live))
-                scalar.remove(item)
-                columnar.remove(item)
+                grid.remove(item)
+                oracle.remove(item)
             elif op[0] == "query":
                 _, center, radius = op
-                assert columnar.within(center, radius) == scalar.within(
-                    center, radius
-                )
-                # within_annotated has no ordering contract; membership and
-                # the exact (dist_sq, insertion index, id) triples must match.
-                assert sorted(columnar.within_annotated(center, radius)) == sorted(
-                    scalar.within_annotated(center, radius)
-                )
+                assert grid.within(center, radius) == oracle.within(center, radius)
+                rows, d_sq = grid.query_rows(center, radius)
+                want = oracle.scan(center, radius)
+                # Row index == insertion index (rows are append-only).
+                assert rows.tolist() == [order for _, order, _ in want]
+                assert d_sq.tolist() == [dist_sq for dist_sq, _, _ in want]
             else:
                 if not live:
                     continue
                 _, index, radius = op
                 item = live[index % len(live)]
-                # Exact equality: same ids, same distance-sorted order, and
-                # bit-equal floats (both backends run the identical
-                # subtract/square/sqrt arithmetic).
-                assert columnar_cache.neighbors_with_distance(
-                    item, radius
-                ) == scalar_cache.neighbors_with_distance(item, radius)
+                want = oracle.neighbors_with_distance(item, radius)
+                for cache in caches:
+                    # Exact equality: same ids, same (distance, insertion)
+                    # order and bit-equal floats.
+                    assert cache.neighbors_with_distance(item, radius) == want
 
-    @given(positions=st.lists(points, min_size=1, max_size=30), center=points)
-    @settings(max_examples=60, deadline=None)
-    def test_nearest_distance_agrees(self, positions, center):
-        scalar, columnar = _build_pair(positions)
-
-        def dist(grid, item):
-            x, y = grid.position(item)
-            dx, dy = x - center[0], y - center[1]
-            # dx*dx + dy*dy, not hypot: both backends *select* by this
-            # quantity, and hypot would distinguish ties that the selection
-            # metric (which underflows for pathologically close points)
-            # cannot.
-            return dx * dx + dy * dy
-
-        # Ties are broken arbitrarily by the scalar backend (documented),
-        # deterministically by the columnar one — the distance is the
-        # comparable quantity.
-        assert dist(columnar, columnar.nearest(center)) == dist(
-            scalar, scalar.nearest(center)
-        )
-
-
-class TestBackendSelection:
-    def test_default_is_columnar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert backend_default() == "columnar"
-
-    def test_typo_raises_instead_of_silently_falling_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "columnr")
-        try:
-            backend_default()
-        except ValueError as err:
-            assert "REPRO_BACKEND" in str(err)
-        else:
-            raise AssertionError("expected ValueError for a backend typo")
-
-    def test_factory_honors_explicit_backend(self):
-        field = Field(10.0, 10.0)
-        assert isinstance(
-            make_spatial_grid(field, 3.0, backend="columnar"),
-            ColumnarSpatialGrid,
-        )
-        scalar = make_spatial_grid(field, 3.0, backend="scalar")
-        assert isinstance(scalar, SpatialGrid)
-        assert not isinstance(scalar, ColumnarSpatialGrid)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        removed=st.sets(st.integers(min_value=0, max_value=299), max_size=20),
+        center=st.integers(min_value=0, max_value=299),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_large_neighborhoods_agree(self, seed, removed, center):
+        # 300 points on a 6 x 6 m patch: every neighbourhood is above the
+        # cache's 256-row list tier, where distances are recomputed from the
+        # store's columns rather than memoized; they must still match.
+        layout = random.Random(seed)
+        grid = SpatialGrid()
+        oracle = BruteForceIndex()
+        for node_id in range(300):
+            position = (layout.uniform(0.0, 6.0), layout.uniform(0.0, 6.0))
+            grid.insert(node_id, position)
+            oracle.insert(node_id, position)
+        caches = [NeighborCache(grid, enabled=True), NeighborCache(grid, enabled=False)]
+        for cache in caches:
+            cache.neighbors_with_distance(center, 9.0)
+        for item in sorted(removed - {center}):
+            grid.remove(item)
+            oracle.remove(item)
+        want = oracle.neighbors_with_distance(center, 9.0)
+        for cache in caches:
+            assert cache.neighbors_with_distance(center, 9.0) == want

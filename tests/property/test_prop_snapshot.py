@@ -12,14 +12,11 @@ from never having stopped:
 * every ``RunResult`` metric matches exactly (manifest excluded: it
   carries wall time by design).
 
-Covered for PEAS-with-traffic and one baseline (``duty_cycle``), on both
-spatial-index backends (``REPRO_BACKEND=scalar|columnar``).
+Covered for PEAS-with-traffic and one baseline (``duty_cycle``).
 """
 
-import contextlib
 import dataclasses
 import json
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -59,21 +56,6 @@ MAX_EVENT_INDEX = 120
 MIN_TRACE_EVENTS = {"peas": 50, "duty_cycle": 2}
 
 
-@contextlib.contextmanager
-def backend_env(backend):
-    """Pin ``REPRO_BACKEND`` without pytest's function-scoped monkeypatch
-    (which Hypothesis rejects: it would be shared across examples)."""
-    old = os.environ.get("REPRO_BACKEND")
-    os.environ["REPRO_BACKEND"] = backend
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_BACKEND", None)
-        else:
-            os.environ["REPRO_BACKEND"] = old
-
-
 def comparable(result):
     payload = dataclasses.asdict(result)
     payload.pop("manifest", None)  # wall time differs by design
@@ -87,40 +69,37 @@ def canonical(events):
 _golden = {}
 
 
-def golden(name, backend):
-    key = (name, backend)
-    if key not in _golden:
+def golden(name):
+    if name not in _golden:
         sink = RingBufferSink()
         result = run(SCENARIOS[name], RunOptions(), tracer=Tracer(sink))
-        _golden[key] = (comparable(result), canonical(sink.events()))
-    return _golden[key]
+        _golden[name] = (comparable(result), canonical(sink.events()))
+    return _golden[name]
 
 
-@pytest.mark.parametrize("backend", ["scalar", "columnar"])
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 @settings(max_examples=4, deadline=None)
 @given(k=st.integers(min_value=1, max_value=MAX_EVENT_INDEX))
-def test_snapshot_at_any_event_index_is_exact(name, backend, k):
-    with backend_env(backend):
-        want_result, want_trace = golden(name, backend)
-        scenario = SCENARIOS[name]
+def test_snapshot_at_any_event_index_is_exact(name, k):
+    want_result, want_trace = golden(name)
+    scenario = SCENARIOS[name]
 
-        prefix_sink = RingBufferSink()
-        live = LiveRun(scenario, RunOptions(), tracer=Tracer(prefix_sink))
-        live.start()
-        fired = live.sim.run_bounded(
-            until=scenario.max_time_s, max_events=k
-        )
-        assert fired == k, "scenario too small for MAX_EVENT_INDEX"
-        snapshot = live.snapshot_state()
+    prefix_sink = RingBufferSink()
+    live = LiveRun(scenario, RunOptions(), tracer=Tracer(prefix_sink))
+    live.start()
+    fired = live.sim.run_bounded(
+        until=scenario.max_time_s, max_events=k
+    )
+    assert fired == k, "scenario too small for MAX_EVENT_INDEX"
+    snapshot = live.snapshot_state()
 
-        suffix_sink = RingBufferSink()
-        restored = resume(snapshot, RunOptions(), tracer=Tracer(suffix_sink))
+    suffix_sink = RingBufferSink()
+    restored = resume(snapshot, RunOptions(), tracer=Tracer(suffix_sink))
 
-        got_trace = canonical(prefix_sink.events()) + canonical(
-            suffix_sink.events()
-        )
-        assert got_trace == want_trace
-        assert comparable(restored) == want_result
-        # guard against a silently empty sink making the bytes vacuous
-        assert len(want_trace) >= MIN_TRACE_EVENTS[name]
+    got_trace = canonical(prefix_sink.events()) + canonical(
+        suffix_sink.events()
+    )
+    assert got_trace == want_trace
+    assert comparable(restored) == want_result
+    # guard against a silently empty sink making the bytes vacuous
+    assert len(want_trace) >= MIN_TRACE_EVENTS[name]

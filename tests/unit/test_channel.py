@@ -1,28 +1,44 @@
 """Unit tests for repro.net.channel.BroadcastChannel."""
 
+import math
 import random
 
 import pytest
 
 from repro.net import (
     BroadcastChannel,
-    Field,
     NeighborCache,
     Packet,
     RadioModel,
     SpatialGrid,
 )
+from repro.obs import RingBufferSink, Tracer
 from repro.sim import Simulator
 
 
 class StubEndpoint:
-    """Minimal RadioEndpoint capturing deliveries."""
+    """Minimal RadioEndpoint capturing deliveries.
+
+    Setting ``listening`` publishes the new state to the channel it is
+    attached to, as the :class:`RadioEndpoint` contract requires.
+    """
 
     def __init__(self, node_id, position, listening=True):
         self._id = node_id
         self._position = position
-        self.listening = listening
+        self._listening = listening
+        self.channel = None
         self.received = []
+
+    @property
+    def listening(self):
+        return self._listening
+
+    @listening.setter
+    def listening(self, flag):
+        self._listening = flag
+        if self.channel is not None:
+            self.channel.note_listening(self._id, flag)
 
     @property
     def node_id(self):
@@ -41,7 +57,7 @@ class StubEndpoint:
 
 def make_channel(loss_rate=0.0, energy_hook=None, seed=1):
     sim = Simulator()
-    grid = SpatialGrid(Field(50.0, 50.0), cell_size=3.0)
+    grid = SpatialGrid()
     channel = BroadcastChannel(
         sim, grid, RadioModel(), loss_rate=loss_rate,
         rng=random.Random(seed), energy_hook=energy_hook,
@@ -52,6 +68,7 @@ def make_channel(loss_rate=0.0, energy_hook=None, seed=1):
 def attach(channel, node_id, position, listening=True):
     endpoint = StubEndpoint(node_id, position, listening)
     channel.attach(endpoint)
+    endpoint.channel = channel
     return endpoint
 
 
@@ -212,7 +229,7 @@ class TestRandomLoss:
 
     def test_invalid_loss_rate(self):
         sim = Simulator()
-        grid = SpatialGrid(Field(10.0, 10.0), cell_size=3.0)
+        grid = SpatialGrid()
         with pytest.raises(ValueError):
             BroadcastChannel(sim, grid, RadioModel(), loss_rate=1.0)
 
@@ -271,7 +288,7 @@ class TestNeighborCacheIntegration:
     def _run_traffic(self, cache_enabled, seed=7):
         """Randomized probe traffic; returns (counters, delivery transcript)."""
         sim = Simulator()
-        grid = SpatialGrid(Field(50.0, 50.0), cell_size=3.0)
+        grid = SpatialGrid()
         cache = NeighborCache(grid, enabled=cache_enabled)
         channel = BroadcastChannel(
             sim, grid, RadioModel(), loss_rate=0.2,
@@ -323,3 +340,78 @@ class TestNeighborCacheIntegration:
         packet, _rssi, dist = receiver.received[0]
         assert packet.kind == "REPLY"
         assert dist == pytest.approx(2.0)
+
+
+class TestLargeAudience:
+    """Audiences above the neighbour cache's list tier (256 candidates) are
+    shrunk by a vectorized listening mask before the candidate loop; with a
+    tracer attached the outcome and the event order must not change."""
+
+    SENDERS = ("hub", "rival")
+
+    def _run(self, traced):
+        sim = Simulator()
+        grid = SpatialGrid()
+        tracer = Tracer(RingBufferSink()) if traced else None
+        channel = BroadcastChannel(
+            sim, grid, RadioModel(), rng=random.Random(5), tracer=tracer
+        )
+        hub = attach(channel, "hub", (25.0, 25.0))
+        rival = attach(channel, "rival", (26.0, 25.0))
+        layout = random.Random(17)
+        crowd = []
+        for i in range(400):
+            angle = layout.uniform(0.0, 6.283185307179586)
+            radius = 8.5 * layout.random() ** 0.5
+            position = (
+                25.0 + radius * math.cos(angle), 25.0 + radius * math.sin(angle)
+            )
+            listening = layout.random() < 0.3
+            crowd.append(attach(channel, i, position, listening=listening))
+        # A few listeners go on the air first (half-duplex losses), then two
+        # overlapping full-range broadcasts collide at shared receivers.
+        busy = [e for e in crowd if e.listening][:12]
+        for endpoint in busy:
+            channel.transmit(endpoint.node_id, Packet("PROBE", endpoint.node_id), 0.1)
+        marks = []
+        for sender in (hub, rival):
+            before = len(tracer.sink.events()) if traced else 0
+            channel.transmit(sender.node_id, Packet("REPLY", sender.node_id), 10.0)
+            if traced:
+                marks.append(tracer.sink.events()[before:])
+        sim.run()
+        deliveries = {
+            e.node_id: [(p.sender, d) for p, _r, d in e.received]
+            for e in [hub, rival] + crowd
+        }
+        return channel, deliveries, marks
+
+    def test_audience_exceeds_list_tier(self):
+        channel, _deliveries, _marks = self._run(traced=False)
+        entry = channel.neighbors.columnar_entry("hub", 10.0)
+        assert len(entry[0]) > 256
+        assert entry[3] is None
+
+    def test_traced_and_untraced_agree(self):
+        plain, plain_deliveries, _ = self._run(traced=False)
+        traced, traced_deliveries, _ = self._run(traced=True)
+        counters = plain.counters.as_dict()
+        assert counters.get("half_duplex_losses", 0) > 0
+        assert counters.get("collisions", 0) > 0
+        for name in ("half_duplex_losses", "collisions", "frames_delivered"):
+            assert traced.counters.get(name) == plain.counters.get(name)
+        assert traced_deliveries == plain_deliveries
+
+    def test_traced_events_follow_candidate_order(self):
+        channel, _deliveries, marks = self._run(traced=True)
+        store = channel.grid.store
+        for sender, events in zip(self.SENDERS, marks):
+            assert events, f"{sender}'s broadcast emitted no events"
+            cx, cy = channel.grid.position(sender)
+            rank = {}
+            for row, node_id in enumerate(store.ids):
+                dx = store.xs[row] - cx
+                dy = store.ys[row] - cy
+                rank[node_id] = (dx * dx + dy * dy, row)
+            nodes = [event["node"] for event in events]
+            assert nodes == sorted(nodes, key=rank.__getitem__)

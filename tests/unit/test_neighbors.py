@@ -4,12 +4,12 @@ import math
 
 import pytest
 
-from repro.net import Field, NeighborCache, SpatialGrid, build_neighbor_lists
+from repro.net import NeighborCache, SpatialGrid, build_neighbor_lists
 from repro.net.neighbors import cache_enabled_default
 
 
-def make_grid(points, cell_size=3.0, size=50.0):
-    grid = SpatialGrid(Field(size, size), cell_size=cell_size)
+def make_grid(points):
+    grid = SpatialGrid()
     for node_id, position in points.items():
         grid.insert(node_id, position)
     return grid
@@ -41,7 +41,7 @@ class TestQueries:
 
     def test_distance_tie_broken_by_insertion_order(self):
         points = {"late": None, "early": None}
-        grid = SpatialGrid(Field(50.0, 50.0), cell_size=3.0)
+        grid = SpatialGrid()
         grid.insert("center", (10.0, 10.0))
         grid.insert("west", (8.0, 10.0))
         grid.insert("east", (12.0, 10.0))  # same distance, inserted later
@@ -50,7 +50,7 @@ class TestQueries:
 
     def test_heterogeneous_ids(self):
         """Int node ids and string anchor ids coexist (no cross-type <)."""
-        grid = SpatialGrid(Field(50.0, 50.0), cell_size=3.0)
+        grid = SpatialGrid()
         grid.insert(1, (10.0, 10.0))
         grid.insert("anchor0", (11.0, 10.0))
         grid.insert(2, (12.0, 10.0))
@@ -104,7 +104,7 @@ class TestInvalidation:
         cache = NeighborCache(grid, enabled=True)
         cache.neighbors("b", 5.0)
         grid.remove("b")
-        assert ("b", 5.0) not in cache._lists
+        assert len(cache) == 0
 
     def test_unrelated_entries_survive_removal(self):
         grid = make_grid(CLUSTER)
@@ -153,13 +153,13 @@ class TestEnvDefault:
 
 class TestBuildNeighborLists:
     def test_full_map_sorted_nearest_first(self):
-        lists = build_neighbor_lists(Field(50.0, 50.0), CLUSTER, radius=5.0)
+        lists = build_neighbor_lists(CLUSTER, radius=5.0)
         assert lists["a"] == ["b", "c"]
         assert lists["d"] == []
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
-            build_neighbor_lists(Field(50.0, 50.0), CLUSTER, radius=0.0)
+            build_neighbor_lists(CLUSTER, radius=0.0)
 
     def test_distances_match_euclidean(self):
         grid = make_grid(CLUSTER)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.net import Field, SpatialGrid
+from repro.net import SpatialGrid
 from repro.routing import (
     CostField,
     GrabRouter,
@@ -14,8 +14,8 @@ from repro.routing import (
 from repro.sim import Simulator
 
 
-def make_topology(comm_range=10.0, field=50.0):
-    grid = SpatialGrid(Field(field, field), cell_size=3.0)
+def make_topology(comm_range=10.0):
+    grid = SpatialGrid()
     return WorkingTopology(grid, comm_range=comm_range), grid
 
 
@@ -81,7 +81,7 @@ class TestWorkingTopology:
         assert {2} in components
 
     def test_invalid_range(self):
-        grid = SpatialGrid(Field(10.0, 10.0), cell_size=3.0)
+        grid = SpatialGrid()
         with pytest.raises(ValueError):
             WorkingTopology(grid, comm_range=0.0)
 

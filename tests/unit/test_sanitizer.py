@@ -2,10 +2,12 @@
 wiring costs nothing when off, and check accounting is truthful.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.states import NodeMode
-from repro.net import Packet
+from repro.net import BroadcastChannel, Packet, RadioModel, SpatialGrid
 from repro.sim import InvariantViolation, SimSanitizer, Simulator
 from repro.sim.sanitizer import DEFAULT_SWEEP_PERIOD
 
@@ -143,3 +145,41 @@ def test_periodic_sweep_catches_corruption_mid_run():
     sim.schedule(100.0, corrupt)
     with pytest.raises(InvariantViolation, match="negative"):
         sim.run(until=400.0)
+
+
+# ----------------------------------------------------- published radio state
+class SilentEndpoint:
+    """An endpoint that changes radio state without telling the channel."""
+
+    def __init__(self, node_id, position):
+        self.node_id = node_id
+        self.position = position
+        self.listening = True
+
+    def is_listening(self):
+        return self.listening
+
+    def on_packet(self, packet, rssi, dist):
+        pass
+
+
+def test_unpublished_listening_flip_trips():
+    sim = Simulator()
+    channel = BroadcastChannel(sim, SpatialGrid(), RadioModel())
+    endpoint = SilentEndpoint("quiet", (5.0, 5.0))
+    channel.attach(endpoint)
+    sanitizer = SimSanitizer()
+    sanitizer.attach_network(SimpleNamespace(channel=channel, nodes={}))
+    sanitizer.sweep(sim.now)  # seeded by attach: consistent
+
+    endpoint.listening = False  # no note_listening
+    with pytest.raises(InvariantViolation, match="note_listening"):
+        sanitizer.sweep(sim.now)
+
+
+def test_half_duplex_mirror_mismatch_trips():
+    sim, network, sanitizer = sanitized_network(num_nodes=10)
+    store = network.channel.grid.store
+    store.tx_until_py[0] = store.tx_until[0] + 1.0
+    with pytest.raises(InvariantViolation, match="half-duplex"):
+        sanitizer.sweep(sim.now)

@@ -9,7 +9,7 @@ from repro.net import Field, SpatialGrid, distance
 
 @pytest.fixture
 def grid():
-    return SpatialGrid(Field(50.0, 50.0), cell_size=3.0)
+    return SpatialGrid()
 
 
 class TestBasics:
@@ -41,10 +41,6 @@ class TestBasics:
         grid.bulk_insert([("a", (0.0, 0.0)), ("b", (1.0, 1.0))])
         assert len(grid) == 2
 
-    def test_invalid_cell_size(self):
-        with pytest.raises(ValueError):
-            SpatialGrid(Field(10.0, 10.0), cell_size=0.0)
-
 
 class TestWithin:
     def test_finds_points_in_radius(self, grid):
@@ -74,7 +70,7 @@ class TestWithin:
     def test_matches_brute_force_on_random_points(self):
         rng = random.Random(7)
         field = Field(40.0, 40.0)
-        grid = SpatialGrid(field, cell_size=4.0)
+        grid = SpatialGrid()
         points = {i: field.random_point(rng) for i in range(120)}
         for i, p in points.items():
             grid.insert(i, p)
@@ -86,21 +82,3 @@ class TestWithin:
             )
             assert sorted(grid.within(center, radius)) == expected
 
-
-class TestNearest:
-    def test_single_point(self, grid):
-        grid.insert("only", (20.0, 20.0))
-        assert grid.nearest((0.0, 0.0)) == "only"
-
-    def test_picks_closest(self, grid):
-        grid.insert("a", (10.0, 10.0))
-        grid.insert("b", (12.0, 10.0))
-        assert grid.nearest((12.5, 10.0)) == "b"
-
-    def test_empty_raises(self, grid):
-        with pytest.raises(ValueError):
-            grid.nearest((0.0, 0.0))
-
-    def test_items_iteration(self, grid):
-        grid.insert("a", (1.0, 2.0))
-        assert dict(grid.items()) == {"a": (1.0, 2.0)}
