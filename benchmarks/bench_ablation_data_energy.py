@@ -13,7 +13,8 @@ lifetime shrinks modestly (replacements near the sink burn through the
 local reserve faster) while field-wide coverage barely moves.
 """
 
-from repro.experiments import Scenario, format_table, run_scenario
+from repro.experiments import Scenario, format_table
+from repro.harness import run
 
 BASE = Scenario(
     num_nodes=480,
@@ -24,12 +25,12 @@ BASE = Scenario(
 
 
 def test_data_plane_energy_funnel(benchmark):
-    def run():
-        off = run_scenario(BASE.with_(charge_data_energy=False))
-        on = run_scenario(BASE.with_(charge_data_energy=True))
+    def simulate():
+        off = run(BASE.with_(charge_data_energy=False))
+        on = run(BASE.with_(charge_data_energy=True))
         return off, on
 
-    off, on = benchmark.pedantic(run, rounds=1, iterations=1)
+    off, on = benchmark.pedantic(simulate, rounds=1, iterations=1)
     data_j = sum(
         joules
         for name, joules in on.energy_by_category.items()

@@ -10,7 +10,8 @@ studies" without a sharp optimum.
 """
 
 from repro.core import PEASConfig
-from repro.experiments import Scenario, format_table, run_scenario
+from repro.experiments import Scenario, format_table
+from repro.harness import run
 
 BASE = Scenario(
     num_nodes=240,
@@ -25,15 +26,15 @@ WINDOW_SIZES = (4, 16, 32, 128)
 
 
 def test_measurement_window_ablation(benchmark):
-    def run():
+    def simulate():
         results = {}
         for k in WINDOW_SIZES:
-            results[k] = run_scenario(
+            results[k] = run(
                 BASE.with_(config=PEASConfig(measurement_window_k=k))
             )
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = benchmark.pedantic(simulate, rounds=1, iterations=1)
     print()
     print(format_table(
         ["k", "total wakeups", "3-cov lifetime (s)", "gap p95 (s)",

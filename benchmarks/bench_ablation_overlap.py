@@ -10,7 +10,8 @@ time-averaged working-set size and the resulting coverage lifetime.
 """
 
 from repro.core import PEASConfig
-from repro.experiments import Scenario, format_table, run_scenario
+from repro.experiments import Scenario, format_table
+from repro.harness import run
 
 BASE = Scenario(
     num_nodes=220,
@@ -31,12 +32,12 @@ def _mean_working(result):
 
 
 def test_overlap_resolution_ablation(benchmark):
-    def run():
-        on = run_scenario(BASE.with_(config=PEASConfig(overlap_resolution=True)))
-        off = run_scenario(BASE.with_(config=PEASConfig(overlap_resolution=False)))
+    def simulate():
+        on = run(BASE.with_(config=PEASConfig(overlap_resolution=True)))
+        off = run(BASE.with_(config=PEASConfig(overlap_resolution=False)))
         return on, off
 
-    on, off = benchmark.pedantic(run, rounds=1, iterations=1)
+    on, off = benchmark.pedantic(simulate, rounds=1, iterations=1)
     print()
     print(format_table(
         ["overlap resolution", "mean working nodes", "turnoffs",

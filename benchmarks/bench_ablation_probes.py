@@ -10,7 +10,8 @@ so ``overlap_turnoffs`` counts the control plane's mistakes).
 """
 
 from repro.core import PEASConfig
-from repro.experiments import Scenario, format_table, run_scenario
+from repro.experiments import Scenario, format_table
+from repro.harness import run
 
 BASE = Scenario(
     num_nodes=200,
@@ -25,12 +26,12 @@ LOSS_RATES = (0.0, 0.05, 0.10, 0.20)
 
 
 def test_probe_repetition_vs_loss(benchmark):
-    def run():
+    def simulate():
         rows = []
         for loss in LOSS_RATES:
             row = [loss]
             for probes in (1, 3):
-                result = run_scenario(
+                result = run(
                     BASE.with_(loss_rate=loss, config=PEASConfig(num_probes=probes))
                 )
                 mistakes = result.counters.get("overlap_turnoffs", 0)
@@ -38,7 +39,7 @@ def test_probe_repetition_vs_loss(benchmark):
             rows.append(row)
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(simulate, rounds=1, iterations=1)
     print()
     print(format_table(
         ["loss", "mistakes (1 probe)", "ovh% (1)", "mistakes (3 probes)", "ovh% (3)"],

@@ -17,7 +17,8 @@ from repro.analysis import (
     simulate_estimator_errors,
 )
 from repro.core import PEASConfig
-from repro.experiments import Scenario, format_table, run_scenario
+from repro.experiments import Scenario, format_table
+from repro.harness import run
 
 ABLATION_SCENARIO = Scenario(
     num_nodes=200,
@@ -30,7 +31,7 @@ ABLATION_SCENARIO = Scenario(
 
 
 def test_estimator_accuracy_table(benchmark):
-    def run():
+    def simulate():
         rng = random.Random(0)
         rows = []
         for k in (4, 8, 16, 32, 64, 128):
@@ -41,7 +42,7 @@ def test_estimator_accuracy_table(benchmark):
                          relative_error_quantile(k, 0.99) * 100])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(simulate, rounds=1, iterations=1)
     print()
     print(format_table(
         ["k", "RMS err (%)", "P(|err|<=1%) (%)", "CLT 99% bound (%)"],
@@ -60,13 +61,13 @@ def test_estimator_accuracy_table(benchmark):
 
 
 def test_merged_poisson_property(benchmark):
-    def run():
+    def simulate():
         rng = random.Random(1)
         return merged_interval_samples(
             [0.004] * 5, samples=20000, rng=rng
         )
 
-    total, intervals = benchmark.pedantic(run, rounds=1, iterations=1)
+    total, intervals = benchmark.pedantic(simulate, rounds=1, iterations=1)
     mean = sum(intervals) / len(intervals)
     print(f"\nEq. 3 check: 5 sleepers at 0.004/s merge to {total:.3f}/s; "
           f"measured mean interval {mean:.1f}s (expected {1/total:.1f}s)")
@@ -76,22 +77,22 @@ def test_merged_poisson_property(benchmark):
 def test_feedback_mode_ablation(benchmark):
     """Running (default) vs the paper's literal windowed/uncapped feedback."""
 
-    def run():
+    def simulate():
         results = {}
-        results["running+cap"] = run_scenario(ABLATION_SCENARIO)
-        results["windowed+uncapped"] = run_scenario(
+        results["running+cap"] = run(ABLATION_SCENARIO)
+        results["windowed+uncapped"] = run(
             ABLATION_SCENARIO.with_(
                 config=PEASConfig(
                     measurement_mode="windowed", max_adjust_factor=None
                 )
             )
         )
-        results["running+uncapped"] = run_scenario(
+        results["running+uncapped"] = run(
             ABLATION_SCENARIO.with_(config=PEASConfig(max_adjust_factor=None))
         )
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = benchmark.pedantic(simulate, rounds=1, iterations=1)
     print()
     print(format_table(
         ["feedback mode", "total wakeups", "3-cov lifetime (s)", "end (s)"],

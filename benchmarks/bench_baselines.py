@@ -9,8 +9,8 @@
 * PEAS's randomized probing refills holes at ~1/lambda_d (Figure 5).
 """
 
-from repro.baselines import run_baseline
-from repro.experiments import Scenario, format_table, run_scenario
+from repro.experiments import Scenario, format_table
+from repro.harness import run
 
 SCENARIO = Scenario(
     num_nodes=200,
@@ -23,14 +23,14 @@ SCENARIO = Scenario(
 
 
 def test_peas_vs_baselines(benchmark):
-    def run():
-        results = {"PEAS": run_scenario(SCENARIO)}
+    def simulate():
+        results = {"PEAS": run(SCENARIO)}
         for name in ("always_on", "duty_cycle", "gaf", "synchronized",
                      "span", "afeca"):
-            results[name] = run_baseline(SCENARIO, protocol=name, measure_gaps=True)
+            results[name] = run(SCENARIO.with_(protocol=name))
         return results
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = benchmark.pedantic(simulate, rounds=1, iterations=1)
     print()
     print(format_table(
         ["protocol", "3-cov lifetime (s)", "gap p95 (s)", "gap max (s)",

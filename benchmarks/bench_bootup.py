@@ -17,7 +17,8 @@ example lambda_0 = 0.012 and the evaluation's fast-boot lambda_0 = 0.1.
 import math
 
 from repro.core import PEASConfig
-from repro.experiments import Scenario, build_network, format_table
+from repro.experiments import Scenario, format_table
+from repro.protocols import build_network
 from repro.sim import RngRegistry, Simulator
 
 

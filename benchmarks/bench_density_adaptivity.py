@@ -8,7 +8,8 @@ energy-budget prediction of Figure 9's slope (repro.analysis.lifetime_model).
 """
 
 from repro.analysis import predict_lifetime, rsa_working_count
-from repro.experiments import Scenario, format_table, run_scenario
+from repro.experiments import Scenario, format_table
+from repro.harness import run
 from repro.net import Field
 
 POPULATIONS = (160, 320, 480, 800)
@@ -24,17 +25,17 @@ def _mean_working_first_generation(result):
 
 
 def test_working_density_constant(benchmark):
-    def run():
+    def simulate():
         rows = []
         for population in POPULATIONS:
-            result = run_scenario(
+            result = run(
                 Scenario(num_nodes=population, seed=71, with_traffic=False,
                          keep_series=True, max_time_s=4500.0)
             )
             rows.append([population, _mean_working_first_generation(result)])
         return rows
 
-    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    rows = benchmark.pedantic(simulate, rounds=1, iterations=1)
     saturation = rsa_working_count(Field(50.0, 50.0), 3.0)
     print()
     print(format_table(
@@ -56,16 +57,16 @@ def test_working_density_constant(benchmark):
 def test_lifetime_slope_prediction(benchmark):
     """Energy-budget model vs measured Figure 9 slope."""
 
-    def run():
+    def simulate():
         measured = {}
         for population in (320, 640):
-            result = run_scenario(
+            result = run(
                 Scenario(num_nodes=population, seed=72, with_traffic=False)
             )
             measured[population] = result.coverage_lifetimes[3]
         return measured
 
-    measured = benchmark.pedantic(run, rounds=1, iterations=1)
+    measured = benchmark.pedantic(simulate, rounds=1, iterations=1)
     field = Field(50.0, 50.0)
     rate = 10.66 / 5000.0
     predicted = {

@@ -10,9 +10,10 @@ mission outcome that K-coverage (§5.1) proxies.
 import random
 
 from repro.core import PEASConfig
-from repro.experiments import Scenario, build_network, format_table
+from repro.experiments import Scenario, format_table
 from repro.failures import FailureInjector, per_5000s
 from repro.net import Field
+from repro.protocols import build_network
 from repro.sensing import DetectionMonitor, generate_events
 from repro.sim import RngRegistry, Simulator
 

@@ -210,12 +210,20 @@ def main(argv=None) -> int:
             "ab_repeats": args.ab_repeats,
             "current_micro": ours["micro"],
             "micro": other["micro"],
+            "current_skipped": ours["skipped"],
+            "skipped": other["skipped"],
             "macro": other["macro"],
             "peak_rss_mb": round(other["peak_rss_mb"], 1),
             "micro_speedup": {k: round(v, 2) for k, v in speedups.items()},
         }
         for name, speedup in speedups.items():
             print(f"[bench]   {name:34s} {speedup:5.2f}x vs {args.against_label}")
+        for label, skipped in (
+            ("this tree", ours["skipped"]),
+            (args.against_label, other["skipped"]),
+        ):
+            for name, reason in skipped.items():
+                print(f"[bench]   {name:34s} skipped on {label}: {reason}")
         if ours.get("macro") is not None and other["macro"] is not None:
             ours_wall = ours["macro"]["wall_s_total"]
             macro_speedup = other["macro"]["wall_s_total"] / ours_wall

@@ -14,7 +14,8 @@ each choice costs — the tension the application designer trades off.
 """
 
 from repro.core import PEASConfig
-from repro.experiments import Scenario, format_table, run_scenario
+from repro.experiments import Scenario, format_table
+from repro.harness import run
 
 
 def run_with_tolerance(tolerance_s: float, seed: int = 5):
@@ -27,7 +28,7 @@ def run_with_tolerance(tolerance_s: float, seed: int = 5):
         failure_per_5000s=15.0,  # animals chew cables; weather is harsh
         measure_gaps=True,
     )
-    return run_scenario(scenario)
+    return run(scenario)
 
 
 def main() -> None:

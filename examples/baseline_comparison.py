@@ -15,8 +15,9 @@ dark intervals after unexpected failures — the paper's Figure 4 — while
 PEAS's randomized probing refills holes quickly — Figure 5).
 """
 
-from repro.baselines import BASELINE_FACTORIES, run_baseline
-from repro.experiments import Scenario, format_table, run_scenario
+from repro.experiments import Scenario, format_table
+from repro.harness import run
+from repro.protocols import get_protocol, protocol_names
 
 SCENARIO = Scenario(
     num_nodes=320,
@@ -34,11 +35,13 @@ def main() -> None:
     )
     rows = []
     print("Running PEAS ...")
-    peas = run_scenario(SCENARIO)
+    peas = run(SCENARIO)
     rows.append(_row("PEAS", peas))
-    for name in sorted(BASELINE_FACTORIES):
+    for name in protocol_names():
+        if get_protocol(name).kind != "baseline":
+            continue
         print(f"Running {name} ...")
-        result = run_baseline(SCENARIO, protocol=name, measure_gaps=True)
+        result = run(SCENARIO.with_(protocol=name))
         rows.append(_row(name, result))
 
     print()

@@ -16,8 +16,9 @@ import math
 
 from repro.core import PEASConfig
 from repro.coverage import CoverageGrid, CoverageTracker
-from repro.experiments import Scenario, build_network, format_table
+from repro.experiments import Scenario, format_table
 from repro.net import Field
+from repro.protocols import build_network
 from repro.sim import RngRegistry, Simulator
 
 

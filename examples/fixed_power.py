@@ -13,7 +13,8 @@ filtering, with and without attenuation irregularity.
 """
 
 from repro.core import PEASConfig
-from repro.experiments import Scenario, format_table, run_scenario
+from repro.experiments import Scenario, format_table
+from repro.harness import run
 
 BASE = Scenario(
     num_nodes=300,
@@ -41,7 +42,7 @@ def main() -> None:
     rows = []
     for label, scenario in variants:
         print(f"Running: {label} ...")
-        result = run_scenario(scenario)
+        result = run(scenario)
         rows.append([
             label,
             f"{mean_working(result):.0f}",

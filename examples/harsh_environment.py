@@ -7,7 +7,8 @@ lifetimes degrade only modestly while the failure percentage climbs —
 PEAS's central robustness claim.
 """
 
-from repro.experiments import Scenario, format_table, run_scenario
+from repro.experiments import Scenario, format_table
+from repro.harness import run
 
 
 def main() -> None:
@@ -15,7 +16,7 @@ def main() -> None:
     rows = []
     baseline_lifetime = None
     for rate in (0.0, 10.66, 26.66, 48.0):
-        result = run_scenario(
+        result = run(
             Scenario(num_nodes=480, seed=3, failure_per_5000s=rate)
         )
         lifetime = result.coverage_lifetimes.get(3)

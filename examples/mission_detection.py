@@ -14,9 +14,10 @@ injection.
 
 import random
 
-from repro.experiments import Scenario, build_network, format_table
+from repro.experiments import Scenario, format_table
 from repro.failures import FailureInjector, per_5000s
 from repro.net import Field
+from repro.protocols import build_network
 from repro.sensing import DetectionMonitor, generate_events
 from repro.sim import RngRegistry, Simulator
 

@@ -12,7 +12,8 @@ Run:  python examples/quickstart.py [num_nodes] [seed]
 
 import sys
 
-from repro.experiments import Scenario, format_table, run_scenario
+from repro.experiments import Scenario, format_table
+from repro.harness import run
 
 
 def main() -> None:
@@ -21,7 +22,7 @@ def main() -> None:
 
     scenario = Scenario(num_nodes=num_nodes, seed=seed, measure_gaps=True)
     print(f"Running PEAS: {num_nodes} nodes on a 50x50m field (seed {seed})...")
-    result = run_scenario(scenario)
+    result = run(scenario)
 
     print(format_table(
         ["metric", "value"],

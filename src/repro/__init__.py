@@ -17,13 +17,16 @@ The package builds the full system described in the paper:
   K-coverage proxies);
 * :mod:`repro.analysis` — §3 connectivity results, the §2.2.1
   measurement-accuracy study and an analytic lifetime model;
-* :mod:`repro.experiments` — scenario runner, sweeps and the paper's
+* :mod:`repro.harness` — :func:`~repro.harness.run`, the one way to run a
+  scenario under any registered protocol;
+* :mod:`repro.experiments` — scenarios, sweeps and the paper's
   tables/figures.
 
 Quickstart
 ----------
->>> from repro.experiments import Scenario, run_scenario   # doctest: +SKIP
->>> result = run_scenario(Scenario(num_nodes=160, seed=1)) # doctest: +SKIP
+>>> from repro.experiments import Scenario                  # doctest: +SKIP
+>>> from repro.harness import run                          # doctest: +SKIP
+>>> result = run(Scenario(num_nodes=160, seed=1))          # doctest: +SKIP
 >>> result.coverage_lifetimes[4]                           # doctest: +SKIP
 """
 

@@ -8,9 +8,11 @@
 * :class:`~repro.baselines.synchronized.SynchronizedSleepProtocol` — the
   Figure 4/5 synchronized-wakeup strawman;
 * :class:`~repro.baselines.gaps.CellGapMonitor` — per-neighborhood
-  replacement-gap statistics (the Fig 4/5 metric);
-* :func:`~repro.baselines.runner.run_baseline` — run any baseline under the
-  identical scenario/metric machinery as PEAS.
+  replacement-gap statistics (the Fig 4/5 metric).
+
+Each scheme is registered in :mod:`repro.protocols`, so
+``repro.harness.run(scenario.with_(protocol="gaf"))`` runs it under the
+identical scenario/metric machinery as PEAS.
 """
 
 from .afeca import AfecaLikeProtocol
@@ -19,7 +21,6 @@ from .base import BaselineNetwork, BaselineNode
 from .duty_cycle import DutyCycleProtocol
 from .gaf import GafLikeProtocol
 from .gaps import CellGapMonitor
-from .runner import BASELINE_FACTORIES, run_baseline
 from .span import SpanLikeProtocol
 from .synchronized import SynchronizedSleepProtocol
 
@@ -33,6 +34,4 @@ __all__ = [
     "AfecaLikeProtocol",
     "SynchronizedSleepProtocol",
     "CellGapMonitor",
-    "run_baseline",
-    "BASELINE_FACTORIES",
 ]

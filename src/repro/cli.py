@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from typing import List, Optional
 
 from .analysis import (
@@ -44,9 +45,9 @@ from .experiments import (
     get_deployment_results,
     get_failure_results,
     group_by,
-    run_scenario,
     table1_rows,
 )
+from .harness import run
 from .net import Field
 from .protocols import protocol_names
 from .sim import RngRegistry
@@ -71,46 +72,10 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
-    from pathlib import Path
-
-    from .obs import NdjsonSink, Tracer, save_manifest
-
-    if (args.snapshot or args.restore or args.checkpoint_every is not None
-            or args.stop_after is not None):
-        _cmd_run_snapshot(args)
-        return
-    scenario = _scenario_from_args(args)
-    tracer = None
-    if args.trace:
-        tracer = Tracer(NdjsonSink(args.trace))
-    try:
-        result = run_scenario(
-            scenario, tracer=tracer, profile=args.profile,
-            sanitize=args.sanitize,
-        )
-    finally:
-        if tracer is not None:
-            tracer.close()
-    if args.trace:
-        trace_path = Path(args.trace)
-        manifest_path = trace_path.parent / (trace_path.stem + ".manifest.json")
-        save_manifest(result.manifest, manifest_path)
-        _print_trace_lines(args, result)
-        if result.profile is not None:
-            import json
-
-            profile_path = trace_path.parent / (trace_path.stem + ".profile.json")
-            profile_path.write_text(
-                json.dumps(result.profile, indent=2) + "\n", encoding="utf-8"
-            )
-            print(f"profile: {profile_path}")
-    _print_run_summary(args, result)
-
-
-def _cmd_run_snapshot(args: argparse.Namespace) -> None:
-    """``run`` with any snapshot/restore flag: the harness owns the whole
-    capability stack (trace sink + manifest sidecar included)."""
-    from .harness import RunOptions, resume, run
+    """``run``: one scenario (or a restored snapshot) through the harness,
+    which owns the whole capability stack — trace sink, manifest and
+    profile sidecars, snapshots."""
+    from .harness import RunOptions, resume
     from .harness.snapshot import load_snapshot
     from .sim import SnapshotError
 
@@ -155,19 +120,17 @@ def _cmd_run_snapshot(args: argparse.Namespace) -> None:
         result = run(effective, options)
     if args.snapshot:
         print(f"snapshot: {options.resolved_snapshot_path(effective)}")
-    if args.trace:
-        _print_trace_lines(args, result)
+    trace_target = options.resolved_trace_path(effective)
+    if trace_target is not None:
+        trace_path = Path(trace_target)
+        sidecar = trace_path.parent / trace_path.stem
+        stats = result.manifest.get("trace", {})
+        print(f"trace: {trace_path} ({stats.get('emitted', 0)} events, "
+              f"{stats.get('dropped', 0)} dropped)")
+        print(f"manifest: {sidecar}.manifest.json")
+        if result.profile is not None:
+            print(f"profile: {sidecar}.profile.json")
     _print_run_summary(args, result)
-
-
-def _print_trace_lines(args: argparse.Namespace, result) -> None:
-    from pathlib import Path
-
-    trace_path = Path(args.trace)
-    stats = result.manifest.get("trace", {})
-    print(f"trace: {trace_path} ({stats.get('emitted', 0)} events, "
-          f"{stats.get('dropped', 0)} dropped)")
-    print(f"manifest: {trace_path.parent / (trace_path.stem + '.manifest.json')}")
 
 
 def _print_run_summary(args: argparse.Namespace, result) -> None:
@@ -245,7 +208,6 @@ def _cmd_inspect(args: argparse.Namespace) -> None:
         print(render_summary(summary, max_nodes=args.max_nodes))
     if args.profile is not None:
         import json
-        from pathlib import Path
 
         from .obs import EngineProfiler
 
@@ -494,7 +456,7 @@ def _cmd_report(args: argparse.Namespace) -> None:
         keep_series=True,
         measure_gaps=True,
     )
-    print(render_report(run_scenario(scenario)))
+    print(render_report(run(scenario)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "(peas-faultplan/1 JSON; see docs/ROBUSTNESS.md)")
     run_p.add_argument("--trace", metavar="PATH", default=None,
                        help="stream structured trace events to an NDJSON file "
-                            "(a .manifest.json is written next to it)")
+                            "(supports {seed}/{nodes}/{protocol} placeholders; "
+                            "a .manifest.json is written next to it)")
     run_p.add_argument("--profile", action="store_true",
                        help="profile the engine and print a self-time breakdown")
     run_p.add_argument("--sanitize", action="store_true",

@@ -1,4 +1,8 @@
-"""Experiment harness: scenarios, runner, sweeps and the paper's artifacts."""
+"""Experiments: scenarios, sweeps and the paper's artifacts.
+
+One scenario runs through :func:`repro.harness.run`; this package builds
+scenarios, sweeps them, and turns the results into the paper's tables.
+"""
 
 from .metrics import (
     FaultRecovery,
@@ -35,7 +39,6 @@ from .robustness import (
     robustness_rows,
     robustness_scenarios,
 )
-from .runner import build_network, run_scenario
 from .serialize import (
     load_results,
     result_from_dict,
@@ -60,8 +63,6 @@ from .telemetry import SWEEP_MANIFEST_SCHEMA, SweepTelemetry
 
 __all__ = [
     "Scenario",
-    "run_scenario",
-    "build_network",
     "RunResult",
     "MeanStd",
     "aggregate_values",

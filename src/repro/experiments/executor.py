@@ -227,7 +227,7 @@ def _guarded_run(
     # initialized by a SweepTelemetry bus (see experiments.telemetry).
     # Harness imports stay inside the function: experiments <-> harness is
     # otherwise a package-level import cycle.
-    from ..harness.runner import run as _run_scenario
+    from ..harness.runner import run
     from .telemetry import worker_run_finished, worker_run_started
 
     worker_run_started(scenario)
@@ -235,7 +235,7 @@ def _guarded_run(
         if warm_snapshot is not None:
             result = _warm_run(scenario, warm_snapshot, options, warm_burn_in_s)
         else:
-            result = _run_scenario(scenario, options)
+            result = run(scenario, options)
         outcome = _Outcome(result=result)
     except Exception as exc:  # noqa: BLE001 - captured, surfaced by policy
         outcome = _Outcome(

@@ -5,8 +5,8 @@ carries (when run with ``keep_series=True``) as terminal-friendly ASCII
 charts, plus a one-screen summary — the "look at one run" companion to the
 sweep tables.
 
->>> result = run_scenario(Scenario(num_nodes=320, keep_series=True))  # doctest: +SKIP
->>> print(render_report(result))                                       # doctest: +SKIP
+>>> result = run(Scenario(num_nodes=320, keep_series=True))  # doctest: +SKIP
+>>> print(render_report(result))                              # doctest: +SKIP
 """
 
 from __future__ import annotations

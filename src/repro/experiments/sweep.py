@@ -119,7 +119,7 @@ def _prepare_warm_starts(
     from pathlib import Path
 
     from ..faults.plan import FaultPlan
-    from ..harness.runner import run as _run_scenario
+    from ..harness.runner import run
     from ..obs.manifest import config_hash
     from .serialize import scenario_to_dict
 
@@ -167,14 +167,14 @@ def _prepare_warm_starts(
                     snapshot_store.note_snapshot("hit", target.name)
                 else:
                     snapshot_store.note_snapshot("miss", target.name)
-                    _run_scenario(
+                    run(
                         base,
                         RunOptions(snapshot_path=str(target), sanitize=sanitize),
                     )
                     snapshot_store.note_snapshot("put", target.name)
             else:
                 target = out_dir / f"burn-in-{digest}.json"
-                _run_scenario(
+                run(
                     base, RunOptions(snapshot_path=str(target), sanitize=sanitize)
                 )
             built[digest] = str(target)
@@ -184,23 +184,10 @@ def _prepare_warm_starts(
     return paths
 
 
-def _default_chunksize(num_scenarios: int, processes: int) -> int:
-    """Batch pool work items explicitly instead of ``pool.map``'s default.
-
-    Retained for callers that sized their own batches: the resumable
-    executor dispatches runs individually (per-run timeouts and worker
-    -death tracking need one future per run), so this value no longer
-    affects execution — per-item dispatch overhead is negligible next to
-    seconds-long runs, and it removes the straggler problem chunking had.
-    """
-    return max(1, num_scenarios // (processes * 4))
-
-
 def run_sweep(
     scenarios: Sequence[Scenario],
     processes: Optional[int] = None,
     options: Optional[RunOptions] = None,
-    chunksize: Optional[int] = None,
     errors: str = "raise",
     telemetry=None,
     warm_start: Optional[WarmStart] = None,
@@ -212,9 +199,8 @@ def run_sweep(
     Results are returned in the order of the input scenarios either way, so
     downstream grouping is deterministic.  ``options`` applies the same
     capability stack (profile / sanitize / trace-to-path / metrics /
-    result store) to every run, pooled or serial; ``chunksize`` is
-    accepted for compatibility but ignored — the executor dispatches runs
-    individually so it can time them out and survive worker death.
+    result store) to every run, pooled or serial.  The executor dispatches
+    runs individually so it can time them out and survive worker death.
 
     ``options.store_dir`` attaches a :class:`repro.store.ResultStore`:
     runs already recorded there (same scenario, seed, code fingerprint,
@@ -250,7 +236,6 @@ def run_sweep(
     """
     if errors not in ("raise", "collect"):
         raise ValueError(f"errors must be 'raise' or 'collect', got {errors!r}")
-    del chunksize  # legacy batching hint; the executor dispatches per run
     options = options if options is not None else RunOptions()
     policy = retry if retry is not None else RetryPolicy()
     store = None

@@ -4,11 +4,10 @@
 replacement-gap monitor, GRAB traffic, failure injector — and the complete
 capability stack (tracer, profiler, sanitizer, manifest) exactly once,
 around whichever protocol ``scenario.protocol`` names in the registry
-(:mod:`repro.protocols`).  ``repro.experiments.runner.run_scenario`` and
-``repro.baselines.runner.run_baseline`` are thin wrappers over this
-function, so PEAS-vs-baseline comparisons are controlled by construction:
-divergent harnesses, not divergent protocols, are how power-aware protocol
-comparisons usually die.
+(:mod:`repro.protocols`).  It is the one way to run a scenario — PEAS,
+baselines, sweeps and the CLI all call it — so PEAS-vs-baseline
+comparisons are controlled by construction: divergent harnesses, not
+divergent protocols, are how power-aware protocol comparisons usually die.
 
 The composition lives in :class:`LiveRun`, whose lifecycle is split so
 snapshot/restore (``peas-snapshot/1``, :mod:`repro.harness.snapshot`) can
@@ -34,7 +33,7 @@ from ..obs import build_manifest
 from ..obs.manifest import peak_rss_mb, wall_clock_s
 from ..obs.metrics import RunMetrics
 from ..obs.tracer import Tracer
-from ..protocols import BaselineRun, ProtocolRun, get_protocol
+from ..protocols import get_protocol
 from ..routing import GrabRouter, ReportTraffic
 from ..sim import (
     EngineProfiler,
@@ -54,7 +53,6 @@ def run(
     options: Optional[RunOptions] = None,
     *,
     tracer: Optional[Tracer] = None,
-    protocol_factory: Optional[Callable] = None,
 ) -> RunResult:
     """Run one scenario under its protocol to completion; collect §5 metrics.
 
@@ -71,22 +69,15 @@ def run(
         null-sink backed) every subsystem emits structured trace events
         through it.  The caller owns the sink.  Mutually exclusive with
         ``options.trace_path``, which makes the harness own a file sink.
-    protocol_factory:
-        Escape hatch for custom-parameterized baselines: a
-        ``factory(network, rngs)`` run on a
-        :class:`~repro.baselines.base.BaselineNetwork` instead of the
-        registry entry for ``scenario.protocol``.  Such runs cannot be
-        snapshotted (the factory is not recorded in the scenario).
+
+    A custom-parameterized protocol runs by registering it first
+    (:func:`repro.protocols.register_protocol`) and naming it in
+    ``scenario.protocol``.
     """
     def boot(live: "LiveRun") -> None:
         live.start()
 
-    if (
-        options is not None
-        and options.store_dir is not None
-        and tracer is None
-        and protocol_factory is None
-    ):
+    if options is not None and options.store_dir is not None and tracer is None:
         # Import stays local: the store serializes results through
         # ``repro.experiments``, which itself imports this harness.
         from ..store import ResultStore, store_eligible
@@ -100,18 +91,17 @@ def run(
             # This process is about to pay for the simulation: journal the
             # miss here (not in ``get``) so read-only probes stay silent.
             store.note_miss(key)
-            result = _execute(scenario, options, tracer, protocol_factory, boot)
+            result = _execute(scenario, options, tracer, boot)
             store.put(key, result, scenario, options)
             return result
 
-    return _execute(scenario, options, tracer, protocol_factory, boot)
+    return _execute(scenario, options, tracer, boot)
 
 
 def _execute(
     scenario: Scenario,
     options: Optional[RunOptions],
     tracer: Optional[Tracer],
-    protocol_factory: Optional[Callable],
     boot: Callable[["LiveRun"], None],
 ) -> RunResult:
     """Shared driver for fresh (:func:`run`) and restored
@@ -129,9 +119,7 @@ def _execute(
             owned_tracer = Tracer(NdjsonSink(trace_target))
             tracer = owned_tracer
     try:
-        live = LiveRun(
-            scenario, options, tracer=tracer, protocol_factory=protocol_factory
-        )
+        live = LiveRun(scenario, options, tracer=tracer)
         boot(live)
         live.run_loop()
         result = live.collect()
@@ -155,20 +143,6 @@ def _execute(
                 json.dumps(result.profile, indent=2) + "\n", encoding="utf-8"
             )
     return result
-
-
-def _build_protocol(
-    scenario: Scenario,
-    sim: Simulator,
-    rngs: RngRegistry,
-    tracer: Optional[Tracer],
-    protocol_factory: Optional[Callable],
-) -> ProtocolRun:
-    if protocol_factory is not None:
-        return BaselineRun(
-            scenario, sim, rngs, factory=protocol_factory, tracer=tracer
-        )
-    return get_protocol(scenario.protocol).build(scenario, sim, rngs, tracer)
 
 
 class LiveRun:
@@ -196,12 +170,10 @@ class LiveRun:
         options: Optional[RunOptions] = None,
         *,
         tracer: Optional[Tracer] = None,
-        protocol_factory: Optional[Callable] = None,
     ) -> None:
         self.scenario = scenario
         self.options = options if options is not None else RunOptions()
         self.tracer = tracer
-        self._custom_protocol = protocol_factory is not None
         self.wall_start = wall_clock_s()
         options = self.options
 
@@ -211,8 +183,8 @@ class LiveRun:
         if options.sanitize:
             self.sanitizer = SimSanitizer()
             self.sanitizer.install(self.sim)
-        self.protocol = _build_protocol(
-            scenario, self.sim, self.rngs, tracer, protocol_factory
+        self.protocol = get_protocol(scenario.protocol).build(
+            scenario, self.sim, self.rngs, tracer
         )
         self.network = self.protocol.network
         if self.sanitizer is not None:
@@ -225,7 +197,7 @@ class LiveRun:
         self.run_metrics: Optional[RunMetrics] = None
         if options.metrics:
             self.run_metrics = RunMetrics(
-                protocol=scenario.protocol if not self._custom_protocol else "custom",
+                protocol=scenario.protocol,
                 # One spatial index remains; the label stays so
                 # peas-metrics/1 exports and ``inspect --diff`` still match
                 # files written when the backend was selectable.
@@ -332,12 +304,6 @@ class LiveRun:
         from ..experiments.serialize import scenario_to_dict
         from .snapshot import SNAPSHOT_SCHEMA, snapshot_provenance
 
-        if self._custom_protocol:
-            raise SnapshotError(
-                "runs built from a protocol_factory cannot be snapshotted: "
-                "the factory is not recorded in the scenario, so a restore "
-                "could not reconstruct the protocol"
-            )
         components: Dict[str, Any] = {
             "rng": self.rngs.state_dict(),
             "protocol": self.protocol.state_dict(),
@@ -562,7 +528,7 @@ class LiveRun:
         result.manifest = build_manifest(
             seed=scenario.seed,
             config=scenario,
-            protocol=scenario.protocol if not self._custom_protocol else "custom",
+            protocol=scenario.protocol,
             rng_streams=tuple(self.rngs.names()),
             wall_time_s=wall_clock_s() - self.wall_start,
             events_executed=sim.events_executed,

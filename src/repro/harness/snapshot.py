@@ -209,4 +209,4 @@ def resume(
     def boot(live) -> None:
         live.load_snapshot(snapshot, mode=mode)
 
-    return _execute(scenario, options, tracer, None, boot)
+    return _execute(scenario, options, tracer, boot)

@@ -43,14 +43,17 @@ def main() -> int:
     import statistics
 
     micro = {}
+    skipped = {}
     for name, fn in workloads.KERNEL_WORKLOADS.items():
         try:
             for _ in range(2):
                 fn()
-        except ImportError:
-            # The measured tree predates this kernel's subsystem (e.g.
-            # snapshot_roundtrip against a pre-snapshot checkout); skip it
-            # so the remaining kernels still produce a comparison.
+        except Exception as exc:
+            # The measured tree predates this kernel's subsystem or API
+            # (e.g. snapshot_roundtrip against a pre-snapshot checkout);
+            # record why and skip it so the remaining kernels still
+            # produce a comparison.
+            skipped[name] = f"{type(exc).__name__}: {exc}"
             continue
         samples = []
         for _ in range(args.rounds):
@@ -68,8 +71,8 @@ def main() -> int:
 
     macro = None
     if not args.skip_macro:
-        from repro.experiments.runner import run_scenario
         from repro.experiments.scenario import Scenario
+        from repro.harness import run
 
         seeds = [int(s) for s in args.macro_seeds.split(",") if s]
         walls, cov3, wakeups = [], [], []
@@ -80,7 +83,7 @@ def main() -> int:
                 seed=seed,
             )
             start = time.perf_counter()
-            result = run_scenario(scenario)
+            result = run(scenario)
             walls.append(time.perf_counter() - start)
             cov3.append(result.coverage_lifetimes.get(3))
             wakeups.append(result.total_wakeups)
@@ -97,7 +100,15 @@ def main() -> int:
 
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     peak_mb = peak / (1024.0 * 1024.0) if sys.platform == "darwin" else peak / 1024.0
-    json.dump({"micro": micro, "macro": macro, "peak_rss_mb": peak_mb}, sys.stdout)
+    json.dump(
+        {
+            "micro": micro,
+            "skipped": skipped,
+            "macro": macro,
+            "peak_rss_mb": peak_mb,
+        },
+        sys.stdout,
+    )
     return 0
 
 

@@ -113,8 +113,8 @@ def run_macro(
     Runs serially (one scenario per seed, no process pool) so the wall-clock
     number measures the simulator, not pool scheduling.
     """
-    from repro.experiments.runner import run_scenario
     from repro.experiments.scenario import Scenario
+    from repro.harness import run
 
     walls: List[float] = []
     cov3: List[Optional[float]] = []
@@ -124,7 +124,7 @@ def run_macro(
             num_nodes=num_nodes, failure_per_5000s=failure_per_5000s, seed=seed
         )
         start = time.perf_counter()
-        result = run_scenario(scenario)
+        result = run(scenario)
         walls.append(time.perf_counter() - start)
         cov3.append(result.coverage_lifetimes.get(3))
         wakeups.append(result.total_wakeups)
@@ -156,9 +156,8 @@ def run_scaling(
     serially, cheapest first, and each one records its own wall so a
     partial curve is still meaningful if a large point is interrupted.
     """
-    from repro.baselines import run_baseline
-    from repro.experiments.runner import run_scenario
     from repro.experiments.scenario import Scenario
+    from repro.harness import run
 
     points: List[Dict[str, object]] = []
     for num_nodes in sorted(node_counts):
@@ -166,15 +165,13 @@ def run_scaling(
             scenario = Scenario(
                 num_nodes=num_nodes,
                 seed=seed,
+                protocol=protocol,
                 failure_per_5000s=0.0,
                 with_traffic=False,
                 max_time_s=max_time_s,
             )
             start = time.perf_counter()
-            if protocol == "peas":
-                result = run_scenario(scenario)
-            else:
-                result = run_baseline(scenario, protocol=protocol)
+            result = run(scenario)
             wall = time.perf_counter() - start
             points.append(
                 {

@@ -122,22 +122,23 @@ def baseline_run_throughput() -> int:
     """One small end-to-end duty-cycle baseline run through the harness.
 
     Exercises the full composition path (deployment, channel, coverage,
-    failures, metrics) rather than a single kernel; uses only the
-    ``run_baseline(scenario, protocol=...)`` signature, which older trees
+    failures, metrics) rather than a single kernel; uses only
+    ``repro.harness.run`` and ``Scenario(protocol=...)``, which older trees
     also expose, so ``--against`` comparisons still load.
     """
-    from repro.baselines import run_baseline
     from repro.experiments import Scenario
+    from repro.harness import run
 
     scenario = Scenario(
         num_nodes=40,
         field_size=(20.0, 20.0),
         seed=5,
+        protocol="duty_cycle",
         failure_per_5000s=4.0,
         with_traffic=False,
         max_time_s=2000.0,
     )
-    result = run_baseline(scenario, protocol="duty_cycle")
+    result = run(scenario)
     return result.failures_injected + int(result.end_time)
 
 
@@ -147,8 +148,8 @@ def snapshot_roundtrip() -> int:
     Measures the full checkpoint cost (snapshot_state + JSON encode) plus
     the restore path (reconstruction + load), so `--against` comparisons
     catch regressions in either direction.  Raises ImportError on trees
-    that predate the snapshot layer; the report generator skips kernels
-    that fail to import.
+    that predate the snapshot layer; the report generator skips, and
+    records, kernels that fail on the measured tree.
     """
     import json
 

@@ -1,18 +1,28 @@
 """The §6 baseline schemes as registry entries.
 
 :class:`BaselineRun` adapts a :class:`~repro.baselines.base.BaselineNetwork`
-plus one concrete scheduling protocol (from
-:data:`~repro.baselines.runner.BASELINE_FACTORIES`, or any custom
-``factory(network, rngs)``) to the generic harness interface.  Because the
-substrate is shared harness code, every baseline automatically supports
+plus one concrete scheduling protocol — a ``factory(network, rngs)``; the
+stock ones are in :data:`BASELINES` — to the generic harness interface.  A
+custom-parameterized baseline is one more registry entry:
+``register_protocol(baseline_spec(name, factory, description))``.  Because
+the substrate is shared harness code, every baseline automatically supports
 tracing, profiling, sanitizing, manifests and sweeps — the capabilities
 only PEAS used to have.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
+from ..baselines import (
+    AfecaLikeProtocol,
+    AlwaysOnProtocol,
+    BaselineNetwork,
+    DutyCycleProtocol,
+    GafLikeProtocol,
+    SpanLikeProtocol,
+    SynchronizedSleepProtocol,
+)
 from ..net import DEPLOYMENTS, Field, NeighborCache, SpatialGrid
 from ..routing import WorkingTopology
 from .base import ProtocolRun, ProtocolSpec
@@ -24,7 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.tracer import Tracer
     from ..sim import RngRegistry, Simulator
 
-__all__ = ["BaselineRun", "baseline_spec", "register_baseline_factories"]
+__all__ = [
+    "BASELINES",
+    "BaselineRun",
+    "baseline_spec",
+    "register_baseline_factories",
+]
 
 #: Energy categories charged by baseline coordination logic (the analogue
 #: of PEAS's probe/reply control-plane overhead in Table 1 comparisons).
@@ -42,8 +57,6 @@ class BaselineRun(ProtocolRun):
         factory: Callable,
         tracer: Optional["Tracer"] = None,
     ) -> None:
-        from ..baselines.base import BaselineNetwork
-
         field = Field(*scenario.field_size)
         self.positions = DEPLOYMENTS[scenario.deployment](
             field, scenario.num_nodes, rngs.stream("deployment")
@@ -105,24 +118,45 @@ def baseline_spec(name: str, factory: Callable, description: str) -> ProtocolSpe
     )
 
 
-_DESCRIPTIONS: Dict[str, str] = {
-    "always_on": "no conservation: every node works until its battery dies",
-    "duty_cycle": "randomized independent sleeping (statistical redundancy)",
-    "gaf": "GAF-style grid leader election by predicted leader lifetime",
-    "synchronized": "synchronized round-based rotation (the Fig 4/5 strawman)",
-    "span": "SPAN-style connectivity-driven coordinator election",
-    "afeca": "AFECA-style density-scaled sleep intervals",
+#: name -> (factory(network, rngs), description) for the stock schemes.
+BASELINES: Dict[str, Tuple[Callable, str]] = {
+    "always_on": (
+        lambda network, rngs: AlwaysOnProtocol(network),
+        "no conservation: every node works until its battery dies",
+    ),
+    "duty_cycle": (
+        lambda network, rngs: DutyCycleProtocol(
+            network, rng=rngs.stream("duty")
+        ),
+        "randomized independent sleeping (statistical redundancy)",
+    ),
+    "gaf": (
+        lambda network, rngs: GafLikeProtocol(network),
+        "GAF-style grid leader election by predicted leader lifetime",
+    ),
+    "synchronized": (
+        lambda network, rngs: SynchronizedSleepProtocol(network),
+        "synchronized round-based rotation (the Fig 4/5 strawman)",
+    ),
+    "span": (
+        lambda network, rngs: SpanLikeProtocol(
+            network, rng=rngs.stream("span")
+        ),
+        "SPAN-style connectivity-driven coordinator election",
+    ),
+    "afeca": (
+        lambda network, rngs: AfecaLikeProtocol(
+            network, rng=rngs.stream("afeca")
+        ),
+        "AFECA-style density-scaled sleep intervals",
+    ),
 }
 
 
 def register_baseline_factories() -> None:
-    """Register every stock baseline factory (idempotent)."""
-    from ..baselines.runner import BASELINE_FACTORIES
+    """Register every stock baseline (idempotent)."""
     from .registry import PROTOCOLS
 
-    for name, factory in BASELINE_FACTORIES.items():
-        if name in PROTOCOLS:
-            continue
-        register_protocol(
-            baseline_spec(name, factory, _DESCRIPTIONS.get(name, name))
-        )
+    for name, (factory, description) in BASELINES.items():
+        if name not in PROTOCOLS:
+            register_protocol(baseline_spec(name, factory, description))

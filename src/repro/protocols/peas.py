@@ -1,7 +1,6 @@
 """PEAS as a registry entry: the default protocol under the run harness.
 
-:func:`build_network` (moved here from ``repro.experiments.runner``, which
-re-exports it) constructs the deployed :class:`~repro.core.PEASNetwork`;
+:func:`build_network` constructs the deployed :class:`~repro.core.PEASNetwork`;
 :class:`PeasRun` adapts it to the generic :class:`ProtocolRun` surface.
 """
 

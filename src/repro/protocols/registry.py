@@ -3,7 +3,7 @@
 ``Scenario.protocol`` names an entry here; the harness resolves it at run
 time, so sweeps can cross protocols exactly like populations or failure
 rates.  Registration is open: extensions register their own spec once and
-every entry point (``run_scenario``, ``run_sweep``, the CLI) can run it.
+:func:`repro.harness.run` — and so ``run_sweep`` and the CLI — can run it.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ Usage::
     ...run...
     sanitizer.report()                # {"events": ..., "checks": ...}
 
-or simply ``run_scenario(scenario, sanitize=True)`` /
+or simply ``repro.harness.run(scenario, RunOptions(sanitize=True))`` /
 ``peas-repro run --sanitize``.
 """
 

@@ -7,8 +7,8 @@ lifetime schemes (Figures 4/5).
 
 import pytest
 
-from repro.baselines import run_baseline
-from repro.experiments import Scenario, run_scenario
+from repro.experiments import Scenario
+from repro.harness import run
 
 SCENARIO = Scenario(
     num_nodes=150,
@@ -22,17 +22,17 @@ SCENARIO = Scenario(
 
 @pytest.fixture(scope="module")
 def peas_result():
-    return run_scenario(SCENARIO)
+    return run(SCENARIO)
 
 
 @pytest.fixture(scope="module")
 def always_on_result():
-    return run_baseline(SCENARIO, protocol="always_on", measure_gaps=True)
+    return run(SCENARIO.with_(protocol="always_on"))
 
 
 @pytest.fixture(scope="module")
 def gaf_result():
-    return run_baseline(SCENARIO, protocol="gaf", measure_gaps=True)
+    return run(SCENARIO.with_(protocol="gaf"))
 
 
 class TestLifetimeExtension:
@@ -69,8 +69,8 @@ class TestFailureRobustness:
     def test_lifetime_degrades_gracefully_with_failures(self):
         """§5.3: even heavy failure injection costs only a modest share of
         the lifetime (paper: 12-20% at 38% failed nodes)."""
-        calm = run_scenario(SCENARIO.with_(failure_per_5000s=0.0, measure_gaps=False))
-        harsh = run_scenario(
+        calm = run(SCENARIO.with_(failure_per_5000s=0.0, measure_gaps=False))
+        harsh = run(
             SCENARIO.with_(failure_per_5000s=30.0, measure_gaps=False)
         )
         assert harsh.coverage_lifetimes[3] is not None
@@ -78,6 +78,6 @@ class TestFailureRobustness:
         assert ratio > 0.5
 
     def test_failure_fraction_scales_with_rate(self):
-        low = run_scenario(SCENARIO.with_(failure_per_5000s=5.0, measure_gaps=False))
-        high = run_scenario(SCENARIO.with_(failure_per_5000s=25.0, measure_gaps=False))
+        low = run(SCENARIO.with_(failure_per_5000s=5.0, measure_gaps=False))
+        high = run(SCENARIO.with_(failure_per_5000s=25.0, measure_gaps=False))
         assert high.failures_injected > low.failures_injected

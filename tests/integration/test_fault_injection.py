@@ -18,7 +18,6 @@ from repro.experiments import (
     RunError,
     Scenario,
     SweepError,
-    run_scenario,
     run_sweep,
     scenario_from_dict,
     scenario_to_dict,
@@ -31,7 +30,7 @@ from repro.faults import (
     RegionKillFault,
     TransientOutageFault,
 )
-from repro.harness import RunOptions
+from repro.harness import RunOptions, run
 from repro.obs import NdjsonSink, Tracer, validate_trace_file
 from repro.obs.inspect import summarize_trace_file
 
@@ -56,7 +55,7 @@ FULL_PLAN = FaultPlan((
 def _traced_run(scenario, path, sanitize=True):
     tracer = Tracer(NdjsonSink(path))
     try:
-        result = run_scenario(scenario, tracer=tracer, sanitize=sanitize)
+        result = run(scenario, RunOptions(sanitize=sanitize), tracer=tracer)
     finally:
         tracer.close()
     return result
@@ -134,8 +133,8 @@ class TestSingleModelRuns:
         ClockDriftFault(max_skew=0.08),
     ], ids=lambda e: e.kind)
     def test_each_model_runs_sanitized(self, entry):
-        result = run_scenario(
-            BASE.with_(fault_plan=FaultPlan((entry,))), sanitize=True
+        result = run(
+            BASE.with_(fault_plan=FaultPlan((entry,))), RunOptions(sanitize=True)
         )
         assert result.end_time > 0
         assert result.extras["sanitizer_checks"] > 0
@@ -161,7 +160,7 @@ class TestScenarioPlumbing:
             fault_plan=FaultPlan((TransientOutageFault(10.0, 50.0),)),
         )
         with pytest.raises(ValueError, match="not supported"):
-            run_scenario(scenario)
+            run(scenario)
 
     def test_baselines_accept_region_kill(self):
         scenario = BASE.with_(
@@ -171,7 +170,7 @@ class TestScenarioPlumbing:
                 RegionKillFault(at_s=200.0, radius_m=8.0, center=(12.0, 12.0)),
             )),
         )
-        result = run_scenario(scenario)
+        result = run(scenario)
         assert result.extras["faults_fired"] == 1.0
         assert result.failures_injected > 0
 

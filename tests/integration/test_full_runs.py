@@ -9,7 +9,8 @@ delivery end to end.
 import pytest
 
 from repro.core import NodeMode
-from repro.experiments import Scenario, run_scenario
+from repro.experiments import Scenario
+from repro.harness import run
 
 # A small but complete scenario: 25x25 m field, everything enabled.
 SMALL = Scenario(
@@ -24,7 +25,7 @@ SMALL = Scenario(
 
 @pytest.fixture(scope="module")
 def small_result():
-    return run_scenario(SMALL)
+    return run(SMALL)
 
 
 class TestEndToEnd:
@@ -74,8 +75,8 @@ class TestDeterminism:
     def test_same_seed_same_result(self):
         scenario = Scenario(num_nodes=40, field_size=(20.0, 20.0), seed=5,
                             max_time_s=3000.0)
-        first = run_scenario(scenario)
-        second = run_scenario(scenario)
+        first = run(scenario)
+        second = run(scenario)
         assert first.coverage_lifetimes == second.coverage_lifetimes
         assert first.total_wakeups == second.total_wakeups
         assert first.energy_total_j == pytest.approx(second.energy_total_j)
@@ -83,8 +84,8 @@ class TestDeterminism:
 
     def test_different_seeds_differ(self):
         base = Scenario(num_nodes=40, field_size=(20.0, 20.0), max_time_s=3000.0)
-        first = run_scenario(base.with_(seed=1))
-        second = run_scenario(base.with_(seed=2))
+        first = run(base.with_(seed=1))
+        second = run(base.with_(seed=2))
         assert first.total_wakeups != second.total_wakeups
 
 
@@ -93,7 +94,7 @@ class TestWorkingSetInvariants:
         """Concurrent working nodes should mostly be >= R_p apart; brief
         violations can exist between a redundant start and its §4 overlap
         turnoff, but the steady state keeps them rare."""
-        from repro.experiments.runner import build_network
+        from repro.protocols import build_network
         from repro.net import distance
         from repro.sim import RngRegistry, Simulator
 
@@ -117,7 +118,7 @@ class TestWorkingSetInvariants:
 
     def test_sleepers_exist_in_dense_network(self):
         """PEAS's whole point: dense deployments leave most nodes asleep."""
-        from repro.experiments.runner import build_network
+        from repro.protocols import build_network
         from repro.sim import RngRegistry, Simulator
 
         scenario = Scenario(num_nodes=300, field_size=(25.0, 25.0), seed=4,
@@ -135,7 +136,7 @@ class TestWorkingSetInvariants:
         """Killing a large batch of workers must not permanently destroy
         coverage: sleepers wake and take over (§5.3)."""
         from repro.coverage import CoverageGrid, CoverageTracker
-        from repro.experiments.runner import build_network
+        from repro.protocols import build_network
         from repro.net import Field
         from repro.sim import RngRegistry, Simulator
 

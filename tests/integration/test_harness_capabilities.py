@@ -9,8 +9,8 @@ provenance artifacts.
 
 import pytest
 
-from repro.baselines import run_baseline
 from repro.experiments import Scenario
+from repro.harness import RunOptions, run
 from repro.obs import RingBufferSink, Tracer, validate_trace_file
 
 SMALL = Scenario(
@@ -28,7 +28,7 @@ PROTOCOLS = ["duty_cycle", "gaf"]
 class TestBaselineCapabilities:
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_manifest_records_protocol_and_rng_streams(self, protocol):
-        result = run_baseline(SMALL, protocol=protocol)
+        result = run(SMALL.with_(protocol=protocol))
         manifest = result.manifest
         assert manifest["protocol"] == protocol
         assert manifest["seed"] == SMALL.seed
@@ -38,9 +38,9 @@ class TestBaselineCapabilities:
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_live_tracer_emits_and_preserves_metrics(self, protocol):
-        plain = run_baseline(SMALL, protocol=protocol)
+        plain = run(SMALL.with_(protocol=protocol))
         tracer = Tracer(RingBufferSink())
-        traced = run_baseline(SMALL, protocol=protocol, tracer=tracer)
+        traced = run(SMALL.with_(protocol=protocol), tracer=tracer)
         assert tracer.stats()["emitted"] > 0
         assert traced.end_time == plain.end_time
         assert traced.coverage_lifetimes == plain.coverage_lifetimes
@@ -49,7 +49,6 @@ class TestBaselineCapabilities:
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_trace_file_validates_with_manifest_sidecar(self, protocol, tmp_path):
-        from repro.harness import RunOptions, run
         from repro.obs import load_manifest
 
         trace = tmp_path / f"{protocol}.ndjson"
@@ -65,16 +64,25 @@ class TestBaselineCapabilities:
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_sanitize_and_profile(self, protocol):
-        result = run_baseline(SMALL, protocol=protocol, sanitize=True, profile=True)
+        result = run(
+            SMALL.with_(protocol=protocol),
+            RunOptions(sanitize=True, profile=True),
+        )
         assert result.extras["sanitizer_checks"] > 0
         assert result.profile is not None
         assert result.profile["events"] > 0
 
-    def test_custom_factory_manifest_says_custom(self):
+    def test_registered_spec_manifest(self, monkeypatch):
+        """A custom-parameterized baseline is one more registry entry; its
+        runs carry the spec's name, not an anonymous label."""
         from repro.baselines import DutyCycleProtocol
+        from repro.protocols import PROTOCOLS, baseline_spec
 
         def factory(network, rngs):
-            return DutyCycleProtocol(network, rng=rngs.stream("duty"))
+            return DutyCycleProtocol(network, duty=0.25, rng=rngs.stream("duty"))
 
-        result = run_baseline(SMALL, protocol_factory=factory)
-        assert result.manifest["protocol"] == "custom"
+        spec = baseline_spec("duty_cycle_25", factory, "25% duty cycle")
+        monkeypatch.setitem(PROTOCOLS, spec.name, spec)
+        result = run(SMALL.with_(protocol=spec.name))
+        assert result.manifest["protocol"] == "duty_cycle_25"
+        assert result.end_time > 0

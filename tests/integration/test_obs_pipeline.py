@@ -14,8 +14,8 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario
+from repro.harness import RunOptions, run
 from repro.obs import (
     NdjsonSink,
     RingBufferSink,
@@ -38,7 +38,7 @@ TINY = Scenario(
 def _trace_to(path):
     tracer = Tracer(NdjsonSink(path))
     try:
-        result = run_scenario(TINY, tracer=tracer)
+        result = run(TINY, tracer=tracer)
     finally:
         tracer.close()
     return result
@@ -79,10 +79,9 @@ class TestGoldenTrace:
         assert sum(summary.probes.values()) == result.counters.get("probes_sent", 0)
 
     def test_harness_entrypoint_is_byte_identical(self, golden, tmp_path):
-        # The refactored composition layer must reproduce the legacy
-        # run_scenario trace byte-for-byte, manifest sidecar included.
-        from repro.harness import RunOptions, run
-
+        # A harness-owned file sink (``RunOptions.trace_path``) must
+        # reproduce the live-tracer trace byte-for-byte, manifest sidecar
+        # included.
         trace = tmp_path / "harness.ndjson"
         run(TINY, RunOptions(trace_path=str(trace)))
         assert trace.read_bytes() == golden[0]
@@ -97,7 +96,7 @@ class TestGoldenTrace:
         trace = tmp_path / "emptyplan.ndjson"
         tracer = Tracer(NdjsonSink(trace))
         try:
-            run_scenario(TINY.with_(fault_plan=FaultPlan()), tracer=tracer)
+            run(TINY.with_(fault_plan=FaultPlan()), tracer=tracer)
         finally:
             tracer.close()
         assert trace.read_bytes() == golden[0]
@@ -106,7 +105,6 @@ class TestGoldenTrace:
         # Serial run_sweep with a templated trace path runs the same
         # harness code pooled workers do; its trace must match too.
         from repro.experiments import run_sweep
-        from repro.harness import RunOptions
 
         template = tmp_path / "s{seed}-n{nodes}-{protocol}.ndjson"
         (result,) = run_sweep([TINY], options=RunOptions(trace_path=str(template)))
@@ -124,20 +122,20 @@ def _fingerprint(result):
 
 class TestNullSinkNeutrality:
     def test_null_tracer_is_bit_identical_to_untraced(self):
-        untraced = run_scenario(TINY)
-        nulled = run_scenario(TINY, tracer=null_tracer())
+        untraced = run(TINY)
+        nulled = run(TINY, tracer=null_tracer())
         assert _fingerprint(nulled) == _fingerprint(untraced)
 
     def test_live_tracer_does_not_change_results(self):
-        untraced = run_scenario(TINY)
+        untraced = run(TINY)
         tracer = Tracer(RingBufferSink())
-        traced = run_scenario(TINY, tracer=tracer)
+        traced = run(TINY, tracer=tracer)
         assert _fingerprint(traced) == _fingerprint(untraced)
         assert tracer.stats()["emitted"] > 0
 
     def test_profiled_run_does_not_change_results(self):
-        plain = run_scenario(TINY)
-        profiled = run_scenario(TINY, profile=True)
+        plain = run(TINY)
+        profiled = run(TINY, RunOptions(profile=True))
         assert _fingerprint(profiled) == _fingerprint(plain)
         assert profiled.profile is not None
         assert profiled.profile["events"] > 0
@@ -146,11 +144,11 @@ class TestNullSinkNeutrality:
 
 class TestManifestProvenance:
     def test_manifest_block(self):
-        result = run_scenario(TINY)
+        result = run(TINY)
         manifest = result.manifest
         assert manifest["seed"] == TINY.seed
         assert manifest["protocol"] == "peas"
-        assert manifest["config_hash"] == run_scenario(TINY).manifest["config_hash"]
+        assert manifest["config_hash"] == run(TINY).manifest["config_hash"]
         assert "channel" in manifest["rng_streams"]
         assert manifest["events_executed"] > 0
         assert manifest["sim_end_time_s"] == result.end_time

@@ -11,8 +11,8 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.runner import run_scenario
 from repro.experiments.scenario import Scenario
+from repro.harness import run
 
 GOLDEN = Scenario(
     num_nodes=80,
@@ -40,17 +40,17 @@ def result_fingerprint(result):
 
 @pytest.fixture(scope="module")
 def cached_result():
-    return run_scenario(GOLDEN)
+    return run(GOLDEN)
 
 
 class TestGoldenSeedDeterminism:
     def test_rerun_is_bit_identical(self, cached_result):
-        again = run_scenario(GOLDEN)
+        again = run(GOLDEN)
         assert result_fingerprint(again) == result_fingerprint(cached_result)
 
     def test_neighbor_cache_off_is_bit_identical(self, cached_result, monkeypatch):
         monkeypatch.setenv("REPRO_NEIGHBOR_CACHE", "0")
-        brute = run_scenario(GOLDEN)
+        brute = run(GOLDEN)
         assert result_fingerprint(brute) == result_fingerprint(cached_result)
 
     def test_golden_result_is_plausible(self, cached_result):

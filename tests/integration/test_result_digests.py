@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import Scenario, result_to_dict, run_scenario
+from repro.experiments import Scenario, result_to_dict
 from repro.faults import BurstyLossFault, FaultPlan, RegionKillFault
 from repro.harness import RunOptions, run
 from repro.obs import NdjsonSink, Tracer
@@ -79,7 +79,7 @@ def result_digest(scenario: Scenario) -> str:
 def trace_digest(path: Path) -> str:
     tracer = Tracer(NdjsonSink(path))
     try:
-        run_scenario(TINY, tracer=tracer)
+        run(TINY, tracer=tracer)
     finally:
         tracer.close()
     return hashlib.sha256(path.read_bytes()).hexdigest()

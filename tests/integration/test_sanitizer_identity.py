@@ -6,7 +6,8 @@ counters, same trace event stream.  Only ``extras["sanitizer_checks"]``
 
 import dataclasses
 
-from repro.experiments import Scenario, run_scenario
+from repro.experiments import Scenario
+from repro.harness import RunOptions, run
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import Tracer
 
@@ -21,9 +22,9 @@ SCENARIO = Scenario(
 )
 
 
-def run(sanitize):
+def traced_run(sanitize):
     sink = RingBufferSink()
-    result = run_scenario(SCENARIO, tracer=Tracer(sink), sanitize=sanitize)
+    result = run(SCENARIO, RunOptions(sanitize=sanitize), tracer=Tracer(sink))
     return result, sink.events()
 
 
@@ -37,8 +38,8 @@ def comparable(result):
 
 
 def test_sanitized_run_is_bit_identical():
-    plain_result, plain_trace = run(sanitize=False)
-    checked_result, checked_trace = run(sanitize=True)
+    plain_result, plain_trace = traced_run(sanitize=False)
+    checked_result, checked_trace = traced_run(sanitize=True)
 
     assert comparable(plain_result) == comparable(checked_result)
     assert plain_trace == checked_trace
@@ -53,8 +54,8 @@ def test_traced_sanitized_run_matches_untraced():
     # is attached; a sanitized traced run (whose periodic sweep checks the
     # published listening state that loop reads) must therefore give the
     # same result as a plain untraced one.
-    untraced = run_scenario(SCENARIO)
-    traced, trace = run(sanitize=True)
+    untraced = run(SCENARIO)
+    traced, trace = traced_run(sanitize=True)
 
     assert comparable(traced) == comparable(untraced)
     assert any(event["ev"] == "drop" for event in trace)

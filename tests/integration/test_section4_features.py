@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import PEASConfig
-from repro.experiments import Scenario, run_scenario
+from repro.experiments import Scenario
+from repro.harness import run
 
 BASE = Scenario(
     num_nodes=120,
@@ -19,10 +20,10 @@ class TestLossCompensation:
     """§4: three PROBEs work well against loss rates of up to 10%."""
 
     def test_multi_probe_limits_redundant_workers_under_loss(self):
-        single = run_scenario(
+        single = run(
             BASE.with_(loss_rate=0.10, config=PEASConfig(num_probes=1))
         )
-        triple = run_scenario(
+        triple = run(
             BASE.with_(loss_rate=0.10, config=PEASConfig(num_probes=3))
         )
         # Redundant workers show up as extra work starts + overlap turnoffs.
@@ -32,7 +33,7 @@ class TestLossCompensation:
         )
 
     def test_overhead_still_small_with_loss(self):
-        result = run_scenario(BASE.with_(loss_rate=0.10))
+        result = run(BASE.with_(loss_rate=0.10))
         assert result.energy_overhead_ratio < 0.01  # §4: "still smaller than 1%"
 
 
@@ -40,7 +41,7 @@ class TestFixedPower:
     """§4: fixed transmission power + signal-strength threshold filtering."""
 
     def test_fixed_power_network_functions(self):
-        result = run_scenario(BASE.with_(config=PEASConfig(fixed_power=True)))
+        result = run(BASE.with_(config=PEASConfig(fixed_power=True)))
         assert result.counters.get("work_starts", 0) > 0
         assert result.counters.get("sleeps_after_reply", 0) > 0
 
@@ -50,8 +51,8 @@ class TestFixedPower:
         (carrier sense covers the full R_t, suppressing hidden-terminal
         REPLY collisions), so the bound is one-sided on churn and two-sided
         on wakeups."""
-        variable = run_scenario(BASE)
-        fixed = run_scenario(BASE.with_(config=PEASConfig(fixed_power=True)))
+        variable = run(BASE)
+        fixed = run(BASE.with_(config=PEASConfig(fixed_power=True)))
         assert fixed.counters.get("work_starts") <= 1.5 * variable.counters.get(
             "work_starts"
         )
@@ -64,7 +65,7 @@ class TestFixedPower:
     def test_irregular_attenuation_tolerated(self):
         """§4: signal irregularities may densify some areas but the network
         keeps functioning."""
-        result = run_scenario(
+        result = run(
             BASE.with_(
                 config=PEASConfig(fixed_power=True), rssi_irregularity=0.2
             )
@@ -78,10 +79,10 @@ class TestAdaptiveSleepingModes:
         RateEstimator docstring); the running mode sustains far more
         probing activity over the same horizon."""
         long_base = BASE.with_(max_time_s=12000.0, num_nodes=160)
-        running = run_scenario(
+        running = run(
             long_base.with_(config=PEASConfig(measurement_mode="running"))
         )
-        windowed = run_scenario(
+        windowed = run(
             long_base.with_(
                 config=PEASConfig(
                     measurement_mode="windowed", max_adjust_factor=None
@@ -93,8 +94,8 @@ class TestAdaptiveSleepingModes:
     def test_uncapped_updates_crush_rates(self):
         """Without the step cap, boot-storm feedback drives rates to the
         floor (the instability our DESIGN.md documents)."""
-        capped = run_scenario(BASE)
-        uncapped = run_scenario(
+        capped = run(BASE)
+        uncapped = run(
             BASE.with_(config=PEASConfig(max_adjust_factor=None))
         )
         assert uncapped.total_wakeups <= capped.total_wakeups
@@ -104,10 +105,10 @@ class TestDeploymentDistributions:
     """§4 'Distribution of deployed nodes': uneven deployments die sooner."""
 
     def test_clustered_deployment_shorter_coverage_life(self):
-        even = run_scenario(
+        even = run(
             BASE.with_(num_nodes=200, max_time_s=30000.0, deployment="uniform")
         )
-        uneven = run_scenario(
+        uneven = run(
             BASE.with_(num_nodes=200, max_time_s=30000.0, deployment="clustered")
         )
         even_life = even.coverage_lifetimes[3]

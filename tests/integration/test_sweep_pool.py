@@ -2,12 +2,10 @@
 
 Each run is seeded deterministically from its scenario alone, so a process
 pool is a pure execution detail: the pooled sweep must return exactly the
-results a serial sweep does, in the input scenario order, for any
-chunksize.  A regression here means either the harness picked up hidden
-global state or ``pool.map`` ordering broke.
+results a serial sweep does, in the input scenario order.  A regression
+here means either the harness picked up hidden global state or the
+executor's result ordering broke.
 """
-
-import pytest
 
 from repro.experiments import (
     Scenario,
@@ -16,7 +14,6 @@ from repro.experiments import (
     result_to_dict,
     run_sweep,
 )
-from repro.experiments.sweep import _default_chunksize
 
 BASE = Scenario(
     num_nodes=12,
@@ -41,10 +38,9 @@ def _comparable(result):
 
 
 class TestPooledVsSerial:
-    @pytest.mark.parametrize("chunksize", [None, 1, 3])
-    def test_pooled_matches_serial_in_input_order(self, chunksize):
+    def test_pooled_matches_serial_in_input_order(self):
         serial = run_sweep(SCENARIOS)
-        pooled = run_sweep(SCENARIOS, processes=2, chunksize=chunksize)
+        pooled = run_sweep(SCENARIOS, processes=2)
         assert [_comparable(r) for r in pooled] == [
             _comparable(r) for r in serial
         ]
@@ -55,12 +51,3 @@ class TestPooledVsSerial:
             (r.manifest["protocol"], r.seed) for r in results
         ] == [(s.protocol, s.seed) for s in SCENARIOS]
 
-
-class TestDefaultChunksize:
-    def test_floor_is_one(self):
-        assert _default_chunksize(1, 8) == 1
-        assert _default_chunksize(0, 2) == 1
-
-    def test_targets_four_chunks_per_worker(self):
-        assert _default_chunksize(64, 4) == 4
-        assert _default_chunksize(100, 2) == 12

@@ -18,8 +18,7 @@ from repro.experiments import (
     result_to_dict,
     run_sweep,
 )
-from repro.harness import RunOptions
-from repro.harness.runner import run as run_scenario
+from repro.harness import RunOptions, run
 from repro.obs import diff_runs, load_run, render_diff, validate_metrics_file
 from repro.obs.metrics import METRIC_NAMES, MetricsRegistry
 
@@ -43,14 +42,14 @@ def _comparable(result):
 
 class TestByteNeutrality:
     def test_results_identical_with_metrics_on(self):
-        plain = run_scenario(BASE)
-        metered = run_scenario(BASE, RunOptions(metrics=True))
+        plain = run(BASE)
+        metered = run(BASE, RunOptions(metrics=True))
         assert _comparable(metered) == _comparable(plain)
         assert plain.metrics is None
         assert metered.metrics
 
     def test_collected_samples_tell_the_runs_story(self):
-        result = run_scenario(BASE, RunOptions(metrics=True))
+        result = run(BASE, RunOptions(metrics=True))
         by_name = {}
         for sample in result.metrics:
             by_name.setdefault(sample["name"], []).append(sample)

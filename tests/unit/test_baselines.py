@@ -11,10 +11,11 @@ from repro.baselines import (
     DutyCycleProtocol,
     GafLikeProtocol,
     SynchronizedSleepProtocol,
-    run_baseline,
 )
 from repro.experiments import Scenario
+from repro.harness import run
 from repro.net import Field, uniform_deployment
+from repro.protocols import get_protocol, protocol_names
 from repro.sim import RngRegistry, Simulator
 
 
@@ -228,20 +229,15 @@ class TestRunBaseline:
     def test_always_on_run_result(self):
         scenario = Scenario(num_nodes=30, field_size=(20.0, 20.0),
                             with_traffic=False, failure_per_5000s=0.0)
-        result = run_baseline(scenario, protocol="always_on")
+        result = run(scenario.with_(protocol="always_on"))
         assert result.coverage_lifetimes[3] is not None
         assert result.end_time <= 5100.0
 
     def test_gap_extras_present_when_requested(self):
         scenario = Scenario(num_nodes=30, field_size=(20.0, 20.0),
                             with_traffic=False, failure_per_5000s=0.0)
-        result = run_baseline(scenario, protocol="synchronized", measure_gaps=True)
+        result = run(scenario.with_(protocol="synchronized", measure_gaps=True))
         assert "gap_mean_s" in result.extras
-
-    def test_unknown_protocol_rejected(self):
-        with pytest.raises(KeyError):
-            run_baseline(Scenario(num_nodes=5, with_traffic=False),
-                         protocol="teleportation")
 
 
 class TestSpanLike:
@@ -332,13 +328,13 @@ class TestAfecaLike:
 
 
 class TestAllFactoriesRun:
-    @pytest.mark.parametrize("name", sorted(
-        __import__("repro.baselines", fromlist=["BASELINE_FACTORIES"])
-        .BASELINE_FACTORIES
-    ))
+    @pytest.mark.parametrize("name", [
+        name for name in protocol_names()
+        if get_protocol(name).kind == "baseline"
+    ])
     def test_factory_runs_small_scenario(self, name):
         scenario = Scenario(num_nodes=25, field_size=(15.0, 15.0),
                             with_traffic=False, failure_per_5000s=0.0,
                             max_time_s=2000.0)
-        result = run_baseline(scenario, protocol=name)
+        result = run(scenario.with_(protocol=name))
         assert result.end_time > 0

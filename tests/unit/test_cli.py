@@ -115,6 +115,9 @@ class TestCommands:
         assert trace.exists()
         manifest = tmp_path / "run.manifest.json"
         assert manifest.exists()
+        profile = tmp_path / "run.profile.json"
+        assert profile.stat().st_size > 0
+        assert f"profile: {profile}" in out
 
         assert main(["inspect", str(trace), "--validate"]) == 0
         out = capsys.readouterr().out

@@ -51,9 +51,10 @@ class TestPredictLifetime:
         """The energy-budget model should land in the same ballpark as the
         measured Figure 9 values (it ignores transition losses, so it is an
         upper-ish bound)."""
-        from repro.experiments import Scenario, run_scenario
+        from repro.experiments import Scenario
+        from repro.harness import run
 
-        measured = run_scenario(
+        measured = run(
             Scenario(num_nodes=480, seed=2, with_traffic=False)
         ).coverage_lifetimes[3]
         predicted = predict_lifetime(

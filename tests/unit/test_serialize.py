@@ -85,9 +85,9 @@ class TestFileRoundTrip:
             load_results(path)
 
     def test_round_trip_through_real_run(self, tmp_path):
-        from repro.experiments import run_scenario
+        from repro.harness import run
 
-        result = run_scenario(
+        result = run(
             Scenario(num_nodes=20, field_size=(15.0, 15.0), seed=1,
                      with_traffic=False, max_time_s=1000.0, keep_series=True)
         )
