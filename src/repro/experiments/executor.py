@@ -183,7 +183,6 @@ class _Outcome:
 
     result: Optional[RunResult] = None
     error: Optional[RunError] = None
-    retried: bool = field(default=False, compare=False)
 
 
 def _warm_run(
@@ -223,22 +222,18 @@ def _guarded_run(
     options: RunOptions,
     warm_burn_in_s: Optional[float] = None,
 ) -> _Outcome:
-    # The telemetry hooks are process-global no-ops unless this worker was
-    # initialized by a SweepTelemetry bus (see experiments.telemetry).
     # Harness imports stay inside the function: experiments <-> harness is
     # otherwise a package-level import cycle.
     from ..harness.runner import run
-    from .telemetry import worker_run_finished, worker_run_started
 
-    worker_run_started(scenario)
     try:
         if warm_snapshot is not None:
             result = _warm_run(scenario, warm_snapshot, options, warm_burn_in_s)
         else:
             result = run(scenario, options)
-        outcome = _Outcome(result=result)
+        return _Outcome(result=result)
     except Exception as exc:  # noqa: BLE001 - captured, surfaced by policy
-        outcome = _Outcome(
+        return _Outcome(
             error=RunError(
                 scenario=scenario,
                 error_type=type(exc).__name__,
@@ -246,8 +241,6 @@ def _guarded_run(
                 traceback_text=traceback.format_exc(),
             )
         )
-    worker_run_finished(ok=outcome.error is None)
-    return outcome
 
 
 @dataclass
@@ -310,19 +303,15 @@ class _Executor:
                     options=self.options,
                     warm_burn_in_s=self.warm_burn_in_s,
                 )
-                if self.telemetry is not None:
-                    self.telemetry.note_outcome(
-                        ok=outcome.error is None,
-                        scenario=item.scenario,
-                        retry=item.attempts > 1,
-                    )
                 if outcome.error is None:
-                    item.outcome = outcome.result
+                    self._settle(item, outcome.result)
                     break
                 self._record_failure(item, outcome.error)
                 if item.attempts >= self.policy.max_attempts:
                     self._finalize_failure(item, quarantined=True)
                 else:
+                    if self.telemetry is not None:
+                        self.telemetry.note_retry(scenario=item.scenario)
                     time.sleep(self.policy.backoff_s(item.attempts, self.jitter_rng))
 
     # ----------------------------------------------------------- pooled
@@ -430,7 +419,7 @@ class _Executor:
                     in_flight.pop(future)
                     item.attempts += 1
                     if outcome.error is None:
-                        item.outcome = outcome.result
+                        self._settle(item, outcome.result)
                     else:
                         self._record_failure(item, outcome.error)
                         self._schedule_or_finalize(item, pending)
@@ -440,7 +429,15 @@ class _Executor:
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
 
-    # -------------------------------------------------- failure plumbing
+    # -------------------------------------------------- outcome plumbing
+    def _settle(self, item: _Item, outcome: Union[RunResult, RunError]) -> None:
+        """Set a run's final outcome: the one place a run is counted."""
+        item.outcome = outcome
+        if self.telemetry is not None:
+            self.telemetry.note_outcome(
+                ok=not isinstance(outcome, RunError), scenario=item.scenario
+            )
+
     def _record_failure(self, item: _Item, error: RunError) -> None:
         item.last_error = error
         item.trail.append(f"{error.error_type}: {error.error_message}")
@@ -462,10 +459,6 @@ class _Executor:
                 traceback_text="",
             ),
         )
-        if self.telemetry is not None:
-            self.telemetry.note_outcome(
-                ok=False, scenario=item.scenario, retry=item.attempts > 1
-            )
 
     def _schedule_or_finalize(self, item: _Item, pending: List[_Item]) -> None:
         if item.attempts >= self.policy.max_attempts:
@@ -483,7 +476,7 @@ class _Executor:
         retry_wall = 0.0
         if item.first_failure_at is not None and item.attempts > 1:
             retry_wall = time.monotonic() - item.first_failure_at
-        item.outcome = RunError(
+        error = RunError(
             scenario=item.scenario,
             error_type=last.error_type,
             error_message=last.error_message,
@@ -493,6 +486,7 @@ class _Executor:
             trail=tuple(item.trail),
             quarantined=quarantined,
         )
+        self._settle(item, error)
         if quarantined and self.telemetry is not None:
             self.telemetry.note_quarantined(scenario=item.scenario)
 
@@ -560,10 +554,7 @@ class _Executor:
         return self._make_pool()
 
     def _make_pool(self) -> ProcessPoolExecutor:
-        pool_kwargs: Dict[str, Any] = (
-            self.telemetry.pool_kwargs() if self.telemetry is not None else {}
-        )
-        return ProcessPoolExecutor(max_workers=self._pool_size, **pool_kwargs)
+        return ProcessPoolExecutor(max_workers=self._pool_size)
 
     def _coords(self, item: _Item) -> str:
         scenario = item.scenario

@@ -26,14 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
 from ..harness.options import RunOptions
-from .executor import (
-    RetryPolicy,
-    RunError,
-    SweepError,
-    _guarded_run,
-    _Outcome,
-    execute,
-)
+from .executor import RetryPolicy, RunError, SweepError, _guarded_run, execute
 from .metrics import RunResult
 from .scenario import Scenario
 
@@ -47,10 +40,6 @@ __all__ = [
     "run_sweep",
     "group_by",
 ]
-
-# Re-exported for callers and tests that reach for the internals here
-# (the executor module is their home since the resumable-executor split).
-_ = (_guarded_run, _Outcome)
 
 
 @dataclass(frozen=True)
@@ -217,10 +206,10 @@ def run_sweep(
     attached, burn-in snapshots are cached in it across sweeps.
 
     ``telemetry`` (a :class:`~repro.experiments.telemetry.SweepTelemetry`)
-    attaches the sweep telemetry bus: pooled workers ship heartbeats to a
-    live progress line, and once the sweep finishes — including the
-    ``errors="raise"`` path, so a partly-failed sweep still leaves its
-    exports behind — the merged ``peas-metrics/1`` / Prometheus / manifest
+    attaches sweep telemetry: the parent counts every settled run, retry
+    and store replay once on a live progress line, and once the sweep
+    finishes — including the ``errors="raise"`` path, so a partly-failed
+    sweep still leaves its exports behind — the merged ``peas-metrics/1`` / Prometheus / manifest
     files are written to the telemetry's output directory.
 
     ``retry`` (a :class:`RetryPolicy`, default two attempts with a short

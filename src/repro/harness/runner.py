@@ -502,13 +502,6 @@ class LiveRun:
             result.profile = self.profiler.as_dict()
         if self.run_metrics is not None:
             run_metrics = self.run_metrics
-            channel = getattr(network, "channel", None)
-            if channel is not None:
-                channel.publish_metrics(run_metrics)
-            else:
-                # Baselines without a radio channel still report
-                # per-protocol counter dicts through the adapter.
-                run_metrics.record_channel(result.channel_counters)
             faults.publish_metrics(run_metrics)
             run_metrics.finish(
                 sim,

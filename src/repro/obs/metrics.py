@@ -3,8 +3,9 @@
 This is the quantitative side of the observability layer (traces in
 :mod:`repro.obs.tracer` are the qualitative side): named, labeled
 instruments a run populates cheaply, snapshotted into picklable samples
-that cross process-pool boundaries, merged sweep-wide by the telemetry
-bus, and exported in two canonical formats:
+that cross process-pool boundaries, merged sweep-wide by
+:class:`~repro.experiments.telemetry.SweepTelemetry`, and exported in two
+canonical formats:
 
 * ``peas-metrics/1`` — NDJSON, one header line plus one line per labeled
   sample, byte-stable encoding like the trace pipeline (see
@@ -91,8 +92,7 @@ METRIC_NAMES: Dict[str, Tuple[str, str]] = {
     "peas_energy_joules_total": ("counter", "Energy consumed, by accounting category."),
     "peas_sweep_runs_total": ("counter", "Sweep runs by final status (ok/error)."),
     "peas_sweep_retries_total": ("counter", "Same-seed retries attempted by the sweep."),
-    "peas_sweep_heartbeats_total": ("counter", "Worker heartbeats received by the parent."),
-    "peas_sweep_workers": ("gauge", "Peak concurrent pool workers observed."),
+    "peas_sweep_workers": ("gauge", "Process-pool size the sweep ran with (1 = serial)."),
     "peas_sweep_wall_seconds": ("gauge", "Wall-clock duration of the whole sweep."),
     "peas_sweep_warm_start_burn_ins_total": ("counter", "Shared burn-in prefixes simulated for warm-started sweeps."),
     "peas_sweep_warm_start_forks_total": ("counter", "Variant runs forked from a warm-start burn-in snapshot."),
@@ -547,8 +547,10 @@ class RunMetrics:
     the run), so the simulation's RNG draw sequence — and therefore every
     result and trace byte — is untouched.  Gauges are sampled with
     :meth:`sample_engine` between chunks; the per-subsystem counters fold
-    in at the end via ``publish_metrics`` hooks on the channel and fault
-    engine plus :meth:`finish`.
+    in at the end by one route, :meth:`finish`, which reads the channel's
+    frame/drop counters off the result, plus the fault engine's
+    ``publish_metrics`` hook for the per-kind fault tallies a result does
+    not carry.
     """
 
     def __init__(
@@ -574,23 +576,6 @@ class RunMetrics:
         self._tombstones.set_max(sim.tombstones)
 
     # ----------------------------------------------------------- subsystem
-    def record_channel(self, counters: Dict[str, int]) -> None:
-        """Fold the broadcast channel's per-run counter set in."""
-        registry = self.registry
-        labels = self.labels
-        for key, outcome in _FRAME_OUTCOMES.items():
-            value = counters.get(key, 0)
-            if value:
-                registry.counter(
-                    "peas_channel_frames_total", outcome=outcome, **labels
-                ).inc(value)
-        for key, reason in _DROP_REASONS.items():
-            value = counters.get(key, 0)
-            if value:
-                registry.counter(
-                    "peas_channel_drops_total", reason=reason, **labels
-                ).inc(value)
-
     def record_faults(
         self,
         *,
@@ -635,6 +620,21 @@ class RunMetrics:
         ).observe(wall_s)
         if rss_mb is not None:
             registry.gauge("peas_run_rss_mb", **labels).set_max(rss_mb)
+        # The protocol adapter's channel counter dict (empty for protocols
+        # without a radio channel).
+        channel = result.channel_counters
+        for key, outcome in _FRAME_OUTCOMES.items():
+            value = channel.get(key, 0)
+            if value:
+                registry.counter(
+                    "peas_channel_frames_total", outcome=outcome, **labels
+                ).inc(value)
+        for key, reason in _DROP_REASONS.items():
+            value = channel.get(key, 0)
+            if value:
+                registry.counter(
+                    "peas_channel_drops_total", reason=reason, **labels
+                ).inc(value)
         registry.counter("peas_sim_events_total", **labels).inc(
             sim.events_executed
         )

@@ -1,14 +1,11 @@
 """Engine profiling: per-event-type dispatch counts and wall-time stats.
 
 An :class:`EngineProfiler` attaches to a :class:`~repro.sim.engine.Simulator`
-(usually via ``with sim.profiled() as prof:``) and records, per event label:
-
-* dispatch count and total/min/max wall time,
-* a log2-bucketed wall-time histogram (microsecond resolution),
-
-plus engine gauges sampled periodically: heap size, live events, tombstone
-count.  The instrumented run loop is a *separate* code path — when no
-profiler is attached the engine's fast loops are untouched.
+(usually via ``with sim.profiled() as prof:``) and records, per event label,
+the dispatch count and total/min/max wall time, plus engine gauges sampled
+periodically: heap size, live events, tombstone count.  The instrumented
+run loop is a *separate* code path — when no profiler is attached the
+engine's fast loops are untouched.
 
 Events are keyed by their ``label`` (every scheduling site in the tree
 labels its events); unlabeled events fall back to the callback's qualified
@@ -22,8 +19,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["EngineProfiler", "LabelStats"]
 
-#: histogram buckets: [<1us, <2us, <4us, ... <~0.5s, rest]
-_HIST_BUCKETS = 30
 #: gauge sampling period, in executed events
 _GAUGE_PERIOD = 256
 #: gauge time-series cap: when reached, every other sample is dropped and
@@ -37,14 +32,13 @@ _SPARK_CHARS = " ▁▂▃▄▅▆▇█"
 class LabelStats:
     """Wall-time accounting for one event label."""
 
-    __slots__ = ("count", "total_s", "min_s", "max_s", "hist")
+    __slots__ = ("count", "total_s", "min_s", "max_s")
 
     def __init__(self) -> None:
         self.count = 0
         self.total_s = 0.0
         self.min_s = float("inf")
         self.max_s = 0.0
-        self.hist = [0] * _HIST_BUCKETS
 
     def record(self, dt: float) -> None:
         self.count += 1
@@ -53,9 +47,6 @@ class LabelStats:
             self.min_s = dt
         if dt > self.max_s:
             self.max_s = dt
-        micros = int(dt * 1e6)
-        bucket = micros.bit_length()  # 0us -> 0, 1us -> 1, 2-3us -> 2, ...
-        self.hist[bucket if bucket < _HIST_BUCKETS else _HIST_BUCKETS - 1] += 1
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -64,17 +55,7 @@ class LabelStats:
             "mean_us": round(self.total_s / self.count * 1e6, 2) if self.count else 0.0,
             "min_us": round(self.min_s * 1e6, 2) if self.count else 0.0,
             "max_us": round(self.max_s * 1e6, 2),
-            # Trailing empty buckets are elided; bucket i covers
-            # [2^(i-1), 2^i) microseconds (bucket 0: sub-microsecond).
-            "hist_log2_us": self.hist[: _last_nonzero(self.hist) + 1],
         }
-
-
-def _last_nonzero(buckets: List[int]) -> int:
-    for i in range(len(buckets) - 1, -1, -1):
-        if buckets[i]:
-            return i
-    return 0
 
 
 class EngineProfiler:

@@ -246,6 +246,15 @@ class ResultStore:
         :meth:`note_miss` only when they go on to recompute, so a probe
         that merely checks for work does not inflate the miss count.
         """
+        result = self._read_verified(key)
+        if result is not None:
+            self.session["hits"] += 1
+            self._journal("hit", key=key)
+        return result
+
+    def _read_verified(self, key: str) -> Optional["RunResult"]:
+        """The read-side checks shared by :meth:`get` and :meth:`verify`:
+        the decoded result, or ``None`` (absent, or quarantined here)."""
         from .experiments.serialize import result_from_dict
 
         path = self.record_path(key)
@@ -273,13 +282,10 @@ class ResultStore:
             self._quarantine(path, reason="digest-mismatch")
             return None
         try:
-            result = result_from_dict(result_payload)
+            return result_from_dict(result_payload)
         except (KeyError, TypeError, ValueError):
             self._quarantine(path, reason="payload-invalid")
             return None
-        self.session["hits"] += 1
-        self._journal("hit", key=key)
-        return result
 
     def put(
         self,
@@ -384,7 +390,8 @@ class ResultStore:
         """Re-verify every record and snapshot; quarantine what fails.
 
         Runs the exact read-side checks of :meth:`get` over the whole
-        store.  Returns counts plus the quarantined file names; a nonzero
+        store, but is an audit, not a lookup: it journals no ``hit``.
+        Returns counts plus the quarantined file names; a nonzero
         ``quarantined`` count is the CLI's exit-1 signal.
         """
         quarantined: List[str] = []
@@ -392,12 +399,11 @@ class ResultStore:
         for path in sorted(self.results_dir.glob("*.json")):
             checked += 1
             before = self.session["quarantined"]
-            key = path.stem
-            hits_before = self.session["hits"]
-            if self.get(key) is None and self.session["quarantined"] > before:
+            if (
+                self._read_verified(path.stem) is None
+                and self.session["quarantined"] > before
+            ):
                 quarantined.append(path.name)
-            # verify() is an audit, not a lookup: undo the hit accounting.
-            self.session["hits"] = hits_before
         for path in sorted(self.snapshots_dir.glob("*.json")):
             checked += 1
             before = self.session["quarantined"]

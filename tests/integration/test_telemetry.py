@@ -1,14 +1,19 @@
-"""Sweep telemetry end to end: byte-neutrality, the pooled bus, exports.
+"""Sweep telemetry end to end: byte-neutrality, exact live counts, exports.
 
 The contract has two halves.  Metrics collection must be *free* when off
 and *invisible* when on — identical results and traces, because every
-instrument is read outside the event loop.  And the sweep bus must be
-best-effort: heartbeats may drop, but ``finish()`` reconciles against the
-returned results and always writes schema-valid exports.
+instrument is read outside the event loop.  And the sweep's counts must be
+exact: the parent counts each settled run, retry and quarantine once, in
+serial and pooled mode alike, so the live line never runs ahead of the
+sweep and ``finish()`` writes schema-valid exports from the same counts.
 """
 
 import io
 import json
+import multiprocessing
+import re
+
+import pytest
 
 from repro.experiments import (
     RunError,
@@ -68,12 +73,19 @@ class TestByteNeutrality:
         ).value == 2
 
 
+class _EveryTick(SweepTelemetry):
+    """Renders a progress line on every count change (no throttle), so a
+    test sees each intermediate count, not only the final one."""
+
+    def _render(self, force=False):
+        super()._render(force=True)
+
+
 class TestSerialTelemetry:
     def test_progress_and_exports(self, tmp_path):
         stream = io.StringIO()
         telemetry = SweepTelemetry(
-            tmp_path / "out", label="unit", stream=stream, live=False,
-            interval_s=0.0,
+            tmp_path / "out", label="unit", stream=stream, live=False
         )
         scenarios = expand_seeds([BASE], [0, 1])
         results = run_sweep(
@@ -95,10 +107,10 @@ class TestSerialTelemetry:
         assert "# TYPE peas_sweep_runs_total counter" in prom
         assert 'peas_sweep_runs_total{status="ok"} 2' in prom
 
-    def test_exports_survive_failed_runs(self, tmp_path):
-        telemetry = SweepTelemetry(
-            tmp_path / "out", stream=io.StringIO(), live=False
-        )
+    @pytest.mark.parametrize("processes", [None, 2])
+    def test_exports_survive_failed_runs(self, tmp_path, processes):
+        stream = io.StringIO()
+        telemetry = _EveryTick(tmp_path / "out", stream=stream, live=False)
         # Constructs fine but fails inside the worker: GAF rejects a
         # clock-drift plan (same trick as the fault-injection tests).
         from repro.faults import ClockDriftFault, FaultPlan
@@ -108,23 +120,39 @@ class TestSerialTelemetry:
             fault_plan=FaultPlan((ClockDriftFault(max_skew=0.05),)),
         )
         results = run_sweep(
-            [BASE.with_(seed=0), bad],
+            expand_seeds([BASE], [0, 1, 2]) + [bad],
+            processes=processes,
             errors="collect",
             options=RunOptions(metrics=True),
             telemetry=telemetry,
         )
-        assert isinstance(results[1], RunError)
-        assert telemetry.errors == 1
+        assert isinstance(results[3], RunError)
+        failed = sum(isinstance(r, RunError) for r in results)
+        # Every live line is exact: the failing run is retried once and
+        # quarantined, but counted as one run and one error.
+        for line in stream.getvalue().splitlines():
+            done, total = map(int, re.search(r"(\d+)/(\d+) runs", line).groups())
+            assert done <= total, line
+            errors = re.search(r"(\d+) errors", line)
+            assert errors is None or int(errors.group(1)) <= failed, line
+        assert telemetry.done == 4 and telemetry.errors == 1
+        assert telemetry.retries == 1
+        assert telemetry.quarantined == 1
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["ok"] == 1 and manifest["errors"] == 1
+        assert manifest["ok"] == 3 and manifest["errors"] == 1
         assert validate_metrics_file(tmp_path / "out" / "metrics.ndjson") == []
 
 
 class TestPooledTelemetry:
-    def test_bus_carries_heartbeats_and_reconciles(self, tmp_path):
+    def test_start_spawns_no_process(self, tmp_path):
+        before = set(multiprocessing.active_children())
+        telemetry = SweepTelemetry(tmp_path / "out", stream=io.StringIO())
+        telemetry.start(4, processes=2)
+        assert set(multiprocessing.active_children()) == before
+
+    def test_pooled_sweep_counts_each_run_once(self, tmp_path):
         telemetry = SweepTelemetry(
-            tmp_path / "out", label="pooled", stream=io.StringIO(), live=False,
-            interval_s=0.0,
+            tmp_path / "out", label="pooled", stream=io.StringIO(), live=False
         )
         scenarios = expand_seeds([BASE], [0, 1, 2, 3])
         results = run_sweep(
@@ -134,15 +162,19 @@ class TestPooledTelemetry:
             telemetry=telemetry,
         )
         assert len(results) == 4
-        # The bus saw real workers; finish() reconciled done/errors from
-        # the results even if individual messages were dropped.
-        assert telemetry.workers_seen
-        assert telemetry.heartbeats >= 1
         assert telemetry.done == 4 and telemetry.errors == 0
         assert validate_metrics_file(tmp_path / "out" / "metrics.ndjson") == []
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["runs"] == 4 and manifest["ok"] == 4
-        assert manifest["workers"] >= 1
+        assert manifest["workers"] == 2
+        # The whole peas-sweep-manifest/1 field set: counts the parent
+        # takes, provenance, and nothing reported by workers.
+        assert set(manifest) == {
+            "argv", "config_digest", "config_hashes", "errors", "git_sha",
+            "label", "ok", "peak_rss_mb", "pool_restarts", "protocols",
+            "quarantined", "retries", "runs", "schema", "seed_range",
+            "store", "wall_s", "warm_start", "workers",
+        }
         # Per-run samples merged: 4 runs' counters folded into one export.
         record = load_run(tmp_path / "out")
         key = next(
@@ -175,7 +207,7 @@ class TestDiffWorkflow:
         assert "config_digest" not in drift_fields
         moved = {d.name for d in diff.changed}
         assert moved <= {"peas_sweep_wall_seconds", "peas_run_wall_seconds",
-                         "peas_run_rss_mb", "peas_sweep_heartbeats_total"}
+                         "peas_run_rss_mb"}
         assert diff.unchanged > 5
 
     def test_diff_reports_real_movement(self, tmp_path):

@@ -251,14 +251,14 @@ class _FakeResult:
     delivery_lifetime = 3000.0
     energy_by_category = {"sleep": 1.5, "probe": 0.0, "tx": 2.5}
     total_wakeups = 77
+    channel_counters = {"frames_sent": 10, "frames_delivered": 8,
+                        "collisions": 2, "random_losses": 0}
 
 
 class TestRunMetrics:
     def test_finish_records_the_run_level_story(self):
         run = RunMetrics(protocol="peas", backend="columnar")
         run.sample_engine(_FakeSim())
-        run.record_channel({"frames_sent": 10, "frames_delivered": 8,
-                            "collisions": 2, "random_losses": 0})
         run.record_faults(injected=5, events_by_kind={"crash": 5, "region_kill": 0})
         run.finish(_FakeSim(), _FakeResult(), wall_s=1.25, rss_mb=64.0)
         registry = run.registry

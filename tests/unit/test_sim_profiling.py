@@ -7,7 +7,6 @@ from repro.sim import EngineProfiler, SimulationError, Simulator
 from repro.sim.profiling import (
     _GAUGE_PERIOD,
     _GAUGE_SERIES_CAP,
-    _HIST_BUCKETS,
     LabelStats,
 )
 
@@ -22,26 +21,17 @@ class TestLabelStats:
         assert stats.min_s == pytest.approx(1e-6)
         assert stats.max_s == pytest.approx(3e-6)
 
-    def test_histogram_buckets_log2(self):
-        stats = LabelStats()
-        stats.record(0.5e-6)  # <1us -> bucket 0
-        stats.record(1e-6)  # 1us -> bucket 1
-        stats.record(3e-6)  # 2-3us -> bucket 2
-        assert stats.hist[0] == 1
-        assert stats.hist[1] == 1
-        assert stats.hist[2] == 1
-
-    def test_histogram_overflow_clamps(self):
-        stats = LabelStats()
-        stats.record(10_000.0)  # absurd dt -> last bucket
-        assert stats.hist[_HIST_BUCKETS - 1] == 1
-
-    def test_as_dict_elides_trailing_zeros(self):
+    def test_as_dict_reports_microseconds(self):
         stats = LabelStats()
         stats.record(1e-6)
-        payload = stats.as_dict()
-        assert payload["count"] == 1
-        assert payload["hist_log2_us"] == [0, 1]
+        stats.record(3e-6)
+        assert stats.as_dict() == {
+            "count": 2,
+            "total_ms": 0.004,
+            "mean_us": 2.0,
+            "min_us": 1.0,
+            "max_us": 3.0,
+        }
 
 
 class TestEngineProfiler:

@@ -219,8 +219,10 @@ class TestVerify:
         report = store.verify()
         assert report["quarantined"] == [f"{bad}.json"]
         assert report["ok"] == 1
-        # verify() is an audit, not a lookup: no hit accounting.
+        # verify() is an audit, not a lookup: no hit accounting, in this
+        # process or in the journal.
         assert store.session["hits"] == 0
+        assert store.stats()["journal"]["hit"] == 0
 
     def test_verified_good_record_still_readable(self, store):
         key = store.key_for(SCENARIO)
